@@ -23,13 +23,13 @@ from .engine import (
     BACKGROUND,
     PATH_DEPENDENT,
     AttributionResult,
-    DenseBaselineStats,
     ExplainRequest,
-    WorkspaceStats,
+    ExplainStats,
     brute_force_background,
     brute_force_path_dependent,
     explain,
     explain_dense,
+    projected_peak_bytes,
 )
 from .errors import (
     BudgetExceededError,
@@ -40,7 +40,6 @@ from .errors import (
     LengthError,
     MissingCoverError,
     NaNInputError,
-    OutOfMemoryBudget,
     ParseError,
     SizeError,
     StructureError,

@@ -18,21 +18,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cubes import BANZHAF, INTERACTION, SHAPLEY, cache_nbytes
+from .cubes import BANZHAF, INTERACTION, SHAPLEY
 from .engine import (
     BACKGROUND,
     PATH_DEPENDENT,
-    DenseBaselineStats,
     ExplainRequest,
-    WorkspaceStats,
+    ExplainStats,
     brute_force_background,
     brute_force_path_dependent,
     explain,
     explain_dense,
+    projected_peak_bytes,
 )
 from .errors import (
     BudgetExceededError,
-    OutOfMemoryBudget,
     ParseError,
     TreeShapHDError,
     ValidationError,
@@ -58,12 +57,7 @@ class RunConfig:
     threads: int = 1
     memory_budget_bytes: int | None = None
     depth_cap: int = 26
-    chunk_rows: int | None = None
     seed: int = 0
-
-    def __post_init__(self):
-        if self.threads < 1:
-            raise ValidationError("threads must be >= 1")
 
 
 @dataclass
@@ -139,7 +133,7 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-def _write_values_csv(path, results, n_features, functional):
+def _write_values_csv(path, result, n_features, functional):
     interaction = functional == INTERACTION
     if interaction:
         cols = [f"phi_{i}_{j}" for i in range(n_features) for j in range(n_features)]
@@ -148,11 +142,9 @@ def _write_values_csv(path, results, n_features, functional):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row_id", "base_value"] + cols)
-        row_id = 0
-        for result in results:
-            for row in result.values:
-                writer.writerow([row_id, _fmt(result.base_value)] + [_fmt(v) for v in row.reshape(-1)])
-                row_id += 1
+        base = _fmt(result.base_value)
+        for row_id, row in enumerate(result.values):
+            writer.writerow([row_id, base] + [_fmt(v) for v in row.reshape(-1)])
 
 
 def cmd_explain(config: RunConfig) -> int:
@@ -173,23 +165,15 @@ def cmd_explain(config: RunConfig) -> int:
         if model.feature_names is not None and bg_header != model.feature_names:
             raise ValidationError("background CSV header does not match model feature names")
 
-    chunk = config.chunk_rows or len(X) or 1
-    results = []
-    for start in range(0, max(len(X), 1), chunk):
-        part = X[start : start + chunk]
-        if len(X) and not len(part):
-            break
-        request = ExplainRequest(model, part, background, config.mode, config.functional)
-        results.append(
-            explain(
-                request,
-                threads=config.threads,
-                memory_budget_bytes=config.memory_budget_bytes,
-                depth_cap=config.depth_cap,
-            )
-        )
-        log.info("explained rows %d..%d", start, start + len(part) - 1)
-    _write_values_csv(config.output_path, results, model.n_features, config.functional)
+    request = ExplainRequest(model, X, background, config.mode, config.functional)
+    result = explain(
+        request,
+        threads=config.threads,
+        memory_budget_bytes=config.memory_budget_bytes,
+        depth_cap=config.depth_cap,
+    )
+    log.info("explained %d rows", len(X))
+    _write_values_csv(config.output_path, result, model.n_features, config.functional)
     return 0
 
 
@@ -252,52 +236,38 @@ def cmd_validate(config: RunConfig, max_depth: int = 6, trials: int = 50) -> int
     return 0
 
 
-def _bench_one(config: RunConfig, depth: int, method: str, repeats: int):
+def _bench_request(config: RunConfig, depth: int) -> ExplainRequest:
     model = deep_path_model(depth, config.seed)
     rng = np.random.default_rng(config.seed + 7)
     consumers = random_dataset(rng, 64, model.n_features)
     background = random_dataset(rng, 64, model.n_features) if config.mode == BACKGROUND else None
-    request = ExplainRequest(model, consumers, background, config.mode, config.functional)
+    return ExplainRequest(model, consumers, background, config.mode, config.functional)
 
+
+def _bench_one(config: RunConfig, request, depth: int, method: str, repeats: int):
     best = None
-    adds = muls = peak = 0
     for _ in range(max(repeats, 1)):
-        ws = WorkspaceStats()
-        dense_stats = DenseBaselineStats()
+        stats = ExplainStats()
         with count_operations() as ops:
             start = time.perf_counter()
             if method == "hd":
-                explain(request, depth_cap=config.depth_cap, workspace_stats=ws)
+                explain(request, depth_cap=config.depth_cap, stats=stats)
             else:
-                explain_dense(request, depth_cap=DENSE_BASELINE_CAP, stats=dense_stats)
+                explain_dense(request, depth_cap=DENSE_BASELINE_CAP, stats=stats)
             elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed
-        adds, muls = ops.adds, ops.muls
-        if method == "hd":
-            peak = cache_nbytes(depth, config.functional) + ws.peak_bytes
-            if config.functional == INTERACTION:
-                peak += cache_nbytes(depth, SHAPLEY)
-        else:
-            peak = dense_stats.table_bytes + 3 * 8 * (1 << depth)
+    # hd: tables plus the largest leaf working set; dense: tables plus three 2^depth vectors
+    peak = stats.table_bytes + (stats.peak_bytes if method == "hd" else 3 * 8 * (1 << depth))
     return {
         "depth": depth,
         "wall_time_seconds": best,
         "peak_bytes": int(peak),
-        "adds": int(adds),
-        "muls": int(muls),
+        "adds": int(ops.adds),
+        "muls": int(ops.muls),
         "mode": config.mode,
         "method": method,
     }
-
-
-def _bench_projected_bytes(depth: int, method: str, functional: str) -> int:
-    if method == "hd":
-        projected = cache_nbytes(depth, functional) + 4 * 8 * (1 << depth)
-        if functional == INTERACTION:
-            projected += cache_nbytes(depth, SHAPLEY)
-        return projected
-    return 12 * sum(k * 3**k for k in range(1, depth + 1)) + 3 * 8 * (1 << depth)
 
 
 def cmd_bench(
@@ -305,16 +275,20 @@ def cmd_bench(
 ) -> tuple[int, BenchReport]:
     """Time the full pipeline on deep-spine models at each depth.
 
-    Configurations whose projected memory exceeds the budget (and dense runs
-    past the baseline cap) are skipped with a recorded reason instead of run.
+    Configurations whose projected peak memory (:func:`projected_peak_bytes`)
+    exceeds the budget, and dense runs past the baseline cap, are skipped with
+    a recorded reason instead of run.
     """
     report = BenchReport()
     budget = config.memory_budget_bytes
     for depth in sorted(depths):
+        request = _bench_request(config, depth)
         for method in methods:
             over_cap = method == "dense" and depth > DENSE_BASELINE_CAP
-            projected = _bench_projected_bytes(depth, method, config.functional)
-            if over_cap or (budget is not None and projected > budget):
+            over_budget = budget is not None and (
+                projected_peak_bytes(request, dense=method == "dense") > budget
+            )
+            if over_cap or over_budget:
                 report.records.append(
                     {
                         "depth": depth,
@@ -326,7 +300,7 @@ def cmd_bench(
                 )
                 log.info("bench: skipping depth=%d method=%s (budget)", depth, method)
                 continue
-            rec = _bench_one(config, depth, method, repeats)
+            rec = _bench_one(config, request, depth, method, repeats)
             report.records.append(rec)
             log.info("bench: depth=%d method=%s %.4fs", depth, method, rec["wall_time_seconds"])
     if config.output_path:
@@ -402,7 +376,7 @@ def main(argv=None) -> int:
         methods = ("hd", "dense") if args.method == "both" else (args.method,)
         code, _report = cmd_bench(config, depths, methods)
         return code
-    except (BudgetExceededError, OutOfMemoryBudget) as exc:
+    except BudgetExceededError as exc:
         print(f"treeshap-hd: {exc}", file=sys.stderr)
         return 3
     except (TreeShapHDError, OSError) as exc:

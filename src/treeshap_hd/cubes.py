@@ -7,18 +7,21 @@ Banzhaf and pairwise Shapley-interaction values of such games have closed
 forms in (|positive|, |negative|); each closed form here is gate-checked
 against definitional enumeration in the test suite before anything downstream
 trusts it.
+
+The diagonal cache holds, per unique-feature count k, the secondary diagonal
+of every per-position value matrix.  An explain run builds one in memory up
+to its deepest leaf's k; nothing stores it.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import DepthCapError, InvalidPairError, OutOfMemoryBudget, ParseError
+from .errors import DepthCapError, InvalidPairError, ValidationError
 
 SHAPLEY = "shapley"
 BANZHAF = "banzhaf"
@@ -180,40 +183,9 @@ class DiagonalCache:
     def nbytes(self) -> int:
         return sum(arr.nbytes for arr in self.levels.values())
 
-    def save(self, path) -> None:
-        """Flat binary layout: magic, version, depth, kind, then little-endian
-        float64 vectors for k ascending, rows in storage order."""
-        with open(path, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(struct.pack("<III", 1, self.depth, FUNCTIONALS.index(self.kind)))
-            for k in range(1, self.depth + 1):
-                fh.write(self.levels[k].astype("<f8").tobytes())
-
-    @classmethod
-    def load(cls, path) -> "DiagonalCache":
-        with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != _CACHE_MAGIC:
-                raise ParseError("not a diagonal cache file")
-            version, depth, kind_idx = struct.unpack("<III", fh.read(12))
-            if version != 1 or kind_idx >= len(FUNCTIONALS):
-                raise ParseError("unsupported cache version or functional kind")
-            kind = FUNCTIONALS[kind_idx]
-            levels = {}
-            for k in range(1, depth + 1):
-                rows = k * (k - 1) // 2 if kind == INTERACTION else k
-                raw = fh.read(rows * (1 << k) * 8)
-                if len(raw) != rows * (1 << k) * 8:
-                    raise ParseError("truncated cache file")
-                levels[k] = np.frombuffer(raw, dtype="<f8").reshape(rows, 1 << k).copy()
-        return cls(kind, depth, levels)
-
-
-_CACHE_MAGIC = b"TSHDDIAG"
-
 
 def cache_nbytes(depth: int, kind: str) -> int:
-    """Projected cache size in bytes for the given depth and functional."""
+    """Bytes of ``build_diagonal_cache(depth, kind)``, known before building it."""
     rows = (lambda k: k * (k - 1) // 2) if kind == INTERACTION else (lambda k: k)
     return 8 * sum(rows(k) << k for k in range(1, depth + 1))
 
@@ -222,7 +194,6 @@ def build_diagonal_cache(
     depth: int,
     kind: str = SHAPLEY,
     cap: int = DEFAULT_DEPTH_CAP,
-    memory_budget_bytes: int | None = None,
 ) -> DiagonalCache:
     """Evaluate the functional on every diagonal cube for every k in 1..depth.
 
@@ -231,15 +202,9 @@ def build_diagonal_cache(
     functions (a property the tests assert).
     """
     if kind not in FUNCTIONALS:
-        raise ValueError(f"unknown functional {kind!r}")
+        raise ValidationError(f"unknown functional {kind!r}")
     if not 1 <= depth <= cap:
         raise DepthCapError(f"need 1 <= depth <= {cap}, got {depth}")
-    if memory_budget_bytes is not None:
-        projected = cache_nbytes(depth, kind)
-        if projected > memory_budget_bytes:
-            raise OutOfMemoryBudget(
-                f"cache needs {projected} bytes, budget is {memory_budget_bytes}"
-            )
     levels = {k: _diagonal_level(k, kind) for k in range(1, depth + 1)}
     return DiagonalCache(kind, depth, levels)
 

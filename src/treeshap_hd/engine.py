@@ -1,22 +1,28 @@
-"""Attribution pipeline: pattern streams x cached diagonals x fast matvec.
+"""Attribution pipeline: pattern streams x a value-matrix kernel, one leaf loop.
 
-Per tree and per leaf, the engine (1) builds the leaf's background pattern
-distribution (empirical counts or cover-ratio products), (2) pulls the cached
-secondary diagonals for the leaf's unique-feature count, (3) multiplies each
-diagonal by the distribution with the fast kernel, scaled by the leaf weight,
-and (4) gathers each consumer's entry by its own pattern.  Trees add up.
+Per tree and per leaf, the loop (1) builds the leaf's background pattern
+distribution (empirical counts or cover-ratio products), (2) multiplies each
+of the leaf's per-position value matrices by it with a kernel, scaled by the
+leaf weight, and (3) gathers each consumer's entry by its own pattern.  Each
+tree's result is added to the output as soon as the tree finishes, in model
+order, so a run holds at most threads + 1 per-tree results at once.
 
-Also here: definitional brute-force oracles (subset enumeration over the
-model's active features) and a dense baseline that multiplies the full sparse
-value matrices in O(3^k) per leaf, kept as an independent regression anchor.
+Two kernels share the loop.  :func:`explain` multiplies the cached secondary
+diagonals with the O(k 2^k) zeta kernel; :func:`explain_dense` multiplies the
+full sparse value matrices in O(3^k) per leaf, kept as an independent
+regression anchor.  :func:`projected_peak_bytes` is the one memory projection
+that budget guards consult.  Also here: definitional brute-force oracles
+(subset enumeration over the model's active features).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -25,7 +31,6 @@ from .cubes import (
     BANZHAF,
     INTERACTION,
     SHAPLEY,
-    DiagonalCache,
     build_diagonal_cache,
     cache_nbytes,
     cube_banzhaf,
@@ -59,9 +64,10 @@ MODES = (BACKGROUND, PATH_DEPENDENT)
 
 BRUTE_FORCE_FEATURE_CAP = 14
 
-# Test hook: when set, applied to every freshly built diagonal cache.  Lets the
-# validation command prove it detects a corrupted cache.
-_cache_test_hook = None
+# Python objects a run allocates: paths, generators, futures, and the tuples
+# the interpreter's free lists keep after the leaf loop discards them.
+# Measured at up to 255 KiB (20 depth-10 interaction trees, 2,801 leaves).
+_INTERPRETER_BYTES = 256 << 10
 
 
 @dataclass
@@ -82,14 +88,20 @@ class AttributionResult:
 
 
 @dataclass
-class WorkspaceStats:
-    """Peak per-leaf working-set bytes, excluding the shared diagonal cache."""
+class ExplainStats:
+    """What an :func:`explain` or :func:`explain_dense` run held; pass it as ``stats=``.
 
+    ``table_bytes`` counts the kernel's value tables (the diagonal caches, or
+    the sparse matrices); ``peak_bytes`` is the largest per-leaf working set,
+    tables excluded; ``leaf_nonzeros`` lists, per leaf with k >= 1 in model
+    and depth-first order, the stored entries of one of its value matrices
+    (2^k diagonal entries, or 3^k sparse ones).  A run adds to what the
+    object already holds.
+    """
+
+    table_bytes: int = 0
     peak_bytes: int = 0
-
-    def update(self, nbytes: int) -> None:
-        if nbytes > self.peak_bytes:
-            self.peak_bytes = nbytes
+    leaf_nonzeros: list = field(default_factory=list)
 
 
 def _checked_rows(rows, n_features, what):
@@ -103,9 +115,9 @@ def _checked_rows(rows, n_features, what):
 
 def _prepare(request: ExplainRequest):
     if request.mode not in MODES:
-        raise ValueError(f"unknown mode {request.mode!r}")
+        raise ValidationError(f"unknown mode {request.mode!r}")
     if request.functional not in (SHAPLEY, BANZHAF, INTERACTION):
-        raise ValueError(f"unknown functional {request.functional!r}")
+        raise ValidationError(f"unknown functional {request.functional!r}")
     model = request.model
     X = _checked_rows(request.consumers, model.n_features, "consumer dataset")
     B = None
@@ -114,6 +126,13 @@ def _prepare(request: ExplainRequest):
             raise EmptyBackgroundError("background mode needs at least one row")
         B = _checked_rows(request.background, model.n_features, "background dataset")
     return model, X, B
+
+
+def _max_unique_features(model: EnsembleModel, depth_cap: int) -> int:
+    k_max = max((t.max_unique_features for t in model.trees), default=0)
+    if k_max > depth_cap:
+        raise DepthCapError(f"model needs {k_max} unique features, cap is {depth_cap}")
+    return k_max
 
 
 def _cover_expectation(node) -> float:
@@ -136,64 +155,100 @@ def _base_value(model: EnsembleModel, mode: str, B) -> float:
     return model.base_score + sum(_cover_expectation(t.root) for t in model.trees)
 
 
-def explain(
-    request: ExplainRequest,
-    *,
-    threads: int = 1,
-    memory_budget_bytes: int | None = None,
-    depth_cap: int = DEFAULT_FEATURE_CAP,
-    cache: DiagonalCache | None = None,
-    workspace_stats: WorkspaceStats | None = None,
-) -> AttributionResult:
-    """Exact attributions for every consumer row.
+def projected_peak_bytes(
+    request: ExplainRequest, *, threads: int = 1, dense: bool = False
+) -> int:
+    """Upper estimate of the bytes an :func:`explain` run allocates at its peak.
 
-    Deterministic for a fixed model and datasets: leaves are processed in
-    depth-first order and trees are reduced in model order, so repeated runs
-    (any thread count) are bit-identical.
+    Counts the kernel's tables (the diagonal cache, plus the Shapley cache for
+    interactions; with ``dense``, the sparse matrices :func:`explain_dense`
+    builds and the cube table they come from), per worker thread one leaf's
+    working vectors and the pattern stacks of its tree walk, the output, and
+    threads + 1 per-tree results, the most a pool holds as it reduces trees
+    while they finish (the serial path holds one).  The consumer and
+    background rows are not counted.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    model, X, B = _prepare(request)
-    functional = request.functional
+    model = request.model
+    interaction = request.functional == INTERACTION
+    n = len(request.consumers)
+    background = request.background if request.mode == BACKGROUND else None
+    m = 0 if background is None else len(background)
+    n_trees = len(model.trees)
+    k_max = max((t.max_unique_features for t in model.trees), default=0)
+    depth = max((t.max_path_depth for t in model.trees), default=0)
+
+    if dense:
+        per_k = (lambda k: k * (k + 1) // 2) if interaction else (lambda k: k)
+        tables = sum(per_k(k) * (12 * 3**k + 4 * ((1 << k) + 1)) for k in range(1, k_max + 1))
+        # the Python cube table each level is assembled from: 420-520 B an entry at k = 8-10
+        tables += 640 * 3**k_max
+    else:
+        tables = cache_nbytes(k_max, request.functional)
+        if interaction:
+            tables += cache_nbytes(k_max, SHAPLEY)
+    # six 2^k_max vectors: a leaf's distribution, its bincount and the kernel's
+    # vector, or the temporaries of building the cache's deepest level; two
+    # gathered rows; per dataset, depth + 1 live pattern vectors and a split's
+    # temporaries
+    worker = (48 << k_max) + 16 * n + 4 * (depth + 3) * (n + m)
+    workers = max(1, min(threads, n_trees))
+    F = model.n_features
+    result = 8 * n * F * (F + 1 if interaction else 1)
+    in_flight = min(threads + 1, n_trees)
+    diagonal_fill = 16 * n * F if interaction else 0  # two (n, F) temporaries
+    return (
+        _INTERPRETER_BYTES + tables + workers * worker + result * (1 + in_flight) + diagonal_fill
+    )
+
+
+class _Kernel(NamedTuple):
+    """The value matrices the leaf loop multiplies, and the product that applies one.
+
+    ``tables[k]`` is (the functional's matrices, the Shapley matrices for
+    interactions, stored entries per matrix); ``nbytes`` sizes all of them.
+    """
+
+    tables: dict
+    apply: Callable
+    nbytes: int
+
+
+def _diagonal_kernel(k_max: int, functional: str, cap: int) -> _Kernel:
+    """Fast path: :func:`diagonal_matvec` over cached secondary diagonals."""
+    main = shap = None
+    if k_max:
+        main = build_diagonal_cache(k_max, functional, cap=cap)
+        if functional == INTERACTION:
+            shap = build_diagonal_cache(k_max, SHAPLEY, cap=cap)
+    tables = {
+        k: (main.levels[k], shap.levels[k] if shap else None, 1 << k)
+        for k in range(1, k_max + 1)
+    }
+    nbytes = sum(cache.nbytes for cache in (main, shap) if cache is not None)
+    # a lambda, so diagonal_matvec is looked up per call and a wrapper swapped
+    # into this module (as the benchmark's trace does) takes effect
+    return _Kernel(tables, lambda diag, f: diagonal_matvec(diag, f), nbytes)
+
+
+def _leaf_loop(request, model, X, B, kernel, *, depth_cap, threads, stats):
+    """The leaf loop both entry points share; ``kernel`` supplies the value matrices.
+
+    Trees are reduced in model order as they finish, so results are
+    bit-identical for any thread count.  The serial path holds one tree's
+    result at a time; the pool holds at most threads + 1, the one being
+    reduced and the trees submitted after it.
+    """
     F = model.n_features
     n = X.shape[0]
-
-    k_max = max((t.max_unique_features for t in model.trees), default=0)
-    if k_max > depth_cap:
-        raise DepthCapError(f"model needs {k_max} unique features, cap is {depth_cap}")
-
-    if memory_budget_bytes is not None and k_max >= 1:
-        rows_per_leaf = k_max * (k_max - 1) // 2 if functional == INTERACTION else k_max
-        projected = 8 * (1 << k_max) * max(rows_per_leaf, 1) * threads
-        projected += cache_nbytes(k_max, functional)
-        if functional == INTERACTION:
-            projected += cache_nbytes(k_max, SHAPLEY)
-        if projected > memory_budget_bytes:
-            raise BudgetExceededError(
-                f"projected peak {projected} bytes exceeds budget {memory_budget_bytes}"
-            )
-
-    main_cache = shap_cache = None
-    if k_max >= 1:
-        if cache is not None:
-            if cache.kind != functional or cache.depth < k_max:
-                raise ValueError("supplied cache does not match this request")
-            main_cache = cache
-        else:
-            main_cache = build_diagonal_cache(k_max, functional, cap=depth_cap)
-        if _cache_test_hook is not None:
-            main_cache = _cache_test_hook(main_cache) or main_cache
-        shap_cache = (
-            build_diagonal_cache(k_max, SHAPLEY, cap=depth_cap)
-            if functional == INTERACTION
-            else main_cache
-        )
-
-    interaction = functional == INTERACTION
+    interaction = request.functional == INTERACTION
+    shape = (n, F, F) if interaction else (n, F)
+    bg_bytes = B.shape[0] * 4 if B is not None else 0
 
     def tree_values(tree):
-        acc = np.zeros((n, F, F)) if interaction else np.zeros((n, F))
+        apply = kernel.apply
+        acc = np.zeros(shape)
         phi = np.zeros((n, F)) if interaction else None
+        held = ExplainStats() if stats is not None else None
         cons = iter_leaf_patterns(tree, X, cap=depth_cap)
         bg = iter_leaf_patterns(tree, B, cap=depth_cap) if B is not None else None
         for (leaf, path), citem in zip(root_to_leaf_paths(tree), cons):
@@ -206,45 +261,87 @@ def explain(
                 f = path_dependent_distribution(leaf, path)
             if k == 0:
                 continue  # constant leaf: contributes to the base value only
+            main, shap, entries = kernel.tables[k]
             pc = citem.patterns
             w = leaf.weight
-            if workspace_stats is not None:
-                held = 3 * f.nbytes + pc.nbytes + (B.shape[0] * 4 if B is not None else 0)
-                workspace_stats.update(held)
+            if held is not None:
+                held.peak_bytes = max(held.peak_bytes, 3 * f.nbytes + pc.nbytes + bg_bytes)
+                held.leaf_nonzeros.append(entries)
             if interaction:
-                slevel = shap_cache.levels[k]
-                plevel = main_cache.levels[k]
                 for j, feat in enumerate(feats):
-                    phi[:, feat] += w * diagonal_matvec(slevel[j], f)[pc]
+                    phi[:, feat] += w * apply(shap[j], f)[pc]
                 for (j1, f1), (j2, f2) in combinations(enumerate(feats), 2):
-                    s = diagonal_matvec(plevel[pair_index(k, j1, j2)], f)
-                    contrib = w * s[pc]
+                    contrib = w * apply(main[pair_index(k, j1, j2)], f)[pc]
                     acc[:, f1, f2] += contrib
                     acc[:, f2, f1] += contrib
             else:
-                level = main_cache.levels[k]
                 for j, feat in enumerate(feats):
-                    acc[:, feat] += w * diagonal_matvec(level[j], f)[pc]
-        return acc, phi
+                    acc[:, feat] += w * apply(main[j], f)[pc]
+        return acc, phi, held
+
+    values = np.zeros(shape)
+    phi_total = np.zeros((n, F)) if interaction else None
+
+    def add_tree(result):
+        acc, phi, held = result
+        np.add(values, acc, out=values)
+        if interaction:
+            np.add(phi_total, phi, out=phi_total)
+        if held is not None:
+            stats.peak_bytes = max(stats.peak_bytes, held.peak_bytes)
+            stats.leaf_nonzeros += held.leaf_nonzeros
 
     if threads > 1 and len(model.trees) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_tree = list(pool.map(tree_values, model.trees))
+            pending = deque()
+            for tree in model.trees:
+                pending.append(pool.submit(tree_values, tree))
+                if len(pending) > threads:
+                    add_tree(pending.popleft().result())
+            while pending:
+                add_tree(pending.popleft().result())
     else:
-        per_tree = [tree_values(t) for t in model.trees]
-
-    values = np.zeros((n, F, F)) if interaction else np.zeros((n, F))
-    phi_total = np.zeros((n, F)) if interaction else None
-    for acc, phi in per_tree:  # fixed reduction order: model tree order
-        values += acc
-        if interaction:
-            phi_total += phi
+        for tree in model.trees:
+            add_tree(tree_values(tree))
 
     if interaction:
         idx = np.arange(F)
         values[:, idx, idx] = phi_total - values.sum(axis=2)
-
+    if stats is not None:
+        stats.table_bytes += kernel.nbytes
     return AttributionResult(values, _base_value(model, request.mode, B))
+
+
+def explain(
+    request: ExplainRequest,
+    *,
+    threads: int = 1,
+    memory_budget_bytes: int | None = None,
+    depth_cap: int = DEFAULT_FEATURE_CAP,
+    stats: ExplainStats | None = None,
+) -> AttributionResult:
+    """Exact attributions for every consumer row.
+
+    Deterministic for a fixed model and datasets: leaves are processed in
+    depth-first order and trees are reduced in model order, so repeated runs
+    (any thread count) are bit-identical.  With ``memory_budget_bytes`` set,
+    raises :class:`BudgetExceededError` before any work when
+    :func:`projected_peak_bytes` exceeds it.
+    """
+    if threads < 1:
+        raise ValidationError("threads must be >= 1")
+    model, X, B = _prepare(request)
+    k_max = _max_unique_features(model, depth_cap)
+    if memory_budget_bytes is not None:
+        projected = projected_peak_bytes(request, threads=threads)
+        if projected > memory_budget_bytes:
+            raise BudgetExceededError(
+                f"projected peak {projected} bytes exceeds budget {memory_budget_bytes}"
+            )
+    kernel = _diagonal_kernel(k_max, request.functional, depth_cap)
+    return _leaf_loop(
+        request, model, X, B, kernel, depth_cap=depth_cap, threads=threads, stats=stats
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +483,6 @@ def brute_force_path_dependent(
 # dense baseline: full sparse value matrices, O(3^k) per leaf
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DenseBaselineStats:
-    """Per-leaf stored-entry counts and total sparse-table bytes."""
-
-    leaf_nonzeros: list = field(default_factory=list)
-    table_bytes: int = 0
-
-
 def _sparse_tables(k: int, functional: str):
     cube_rows = map_patterns_to_cubes(range(k))
     rows, cols, cubes = [], [], []
@@ -419,11 +508,22 @@ def _sparse_tables(k: int, functional: str):
     return mats, None, len(cubes)
 
 
+def _dense_kernel(k_max: int, functional: str) -> _Kernel:
+    """Regression anchor: the sparse value matrices, O(3^k) per product."""
+    tables = {k: _sparse_tables(k, functional) for k in range(1, k_max + 1)}
+    nbytes = sum(
+        mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+        for mats, shap, _entries in tables.values()
+        for mat in mats + (shap or [])
+    )
+    return _Kernel(tables, lambda mat, f: mat.dot(f), nbytes)
+
+
 def explain_dense(
     request: ExplainRequest,
     *,
     depth_cap: int = 12,
-    stats: DenseBaselineStats | None = None,
+    stats: ExplainStats | None = None,
 ) -> AttributionResult:
     """Same contract as :func:`explain`, via full sparse value matrices.
 
@@ -431,58 +531,5 @@ def explain_dense(
     cube table entry by entry and multiplied sparsely, no diagonals involved.
     """
     model, X, B = _prepare(request)
-    functional = request.functional
-    F = model.n_features
-    n = X.shape[0]
-    interaction = functional == INTERACTION
-
-    k_max = max((t.max_unique_features for t in model.trees), default=0)
-    if k_max > depth_cap:
-        raise DepthCapError(
-            f"dense baseline capped at {depth_cap} unique features, model needs {k_max}"
-        )
-    tables: dict[int, tuple] = {}
-
-    values = np.zeros((n, F, F)) if interaction else np.zeros((n, F))
-    phi_total = np.zeros((n, F)) if interaction else None
-    for tree in model.trees:
-        cons = iter_leaf_patterns(tree, X, cap=depth_cap)
-        bg = iter_leaf_patterns(tree, B, cap=depth_cap) if B is not None else None
-        for (leaf, path), citem in zip(root_to_leaf_paths(tree), cons):
-            feats = citem.features
-            k = len(feats)
-            if bg is not None:
-                f = background_distribution(next(bg).patterns, k)
-            else:
-                f = path_dependent_distribution(leaf, path)
-            if k == 0:
-                continue
-            if k not in tables:
-                tables[k] = _sparse_tables(k, functional)
-                if stats is not None:
-                    for group in tables[k][:2]:
-                        for mat in group or []:
-                            stats.table_bytes += (
-                                mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-                            )
-            mats, shap_mats, entry_count = tables[k]
-            if stats is not None:
-                stats.leaf_nonzeros.append(entry_count)
-            pc = citem.patterns
-            w = leaf.weight
-            if interaction:
-                for j, feat in enumerate(feats):
-                    phi_total[:, feat] += w * shap_mats[j].dot(f)[pc]
-                for (j1, f1), (j2, f2) in combinations(enumerate(feats), 2):
-                    contrib = w * mats[pair_index(k, j1, j2)].dot(f)[pc]
-                    values[:, f1, f2] += contrib
-                    values[:, f2, f1] += contrib
-            else:
-                for j, feat in enumerate(feats):
-                    values[:, feat] += w * mats[j].dot(f)[pc]
-
-    if interaction:
-        idx = np.arange(F)
-        values[:, idx, idx] = phi_total - values.sum(axis=2)
-
-    return AttributionResult(values, _base_value(model, request.mode, B))
+    kernel = _dense_kernel(_max_unique_features(model, depth_cap), request.functional)
+    return _leaf_loop(request, model, X, B, kernel, depth_cap=depth_cap, threads=1, stats=stats)

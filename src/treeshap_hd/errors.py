@@ -61,9 +61,5 @@ class TooManyFeaturesError(TreeShapHDError):
     """Brute-force enumeration is capped to a small number of active features."""
 
 
-class OutOfMemoryBudget(TreeShapHDError):
-    """Building the diagonal cache would exceed the configured byte budget."""
-
-
 class BudgetExceededError(TreeShapHDError):
-    """Projected peak working memory for an explain run exceeds the configured budget."""
+    """An explain run's projected peak memory exceeds the configured byte budget."""

@@ -334,6 +334,7 @@ def _flatten_tree(tree: DecisionTree) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 _LGBM_CATEGORICAL_MASK = 1  # decision_type bit 0 marks a categorical split
+_LGBM_MISSING_ZERO = 1  # decision_type bits 2-3: missing type None 0, Zero 1, NaN 2
 
 
 def load_lightgbm_text(path) -> EnsembleModel:
@@ -341,7 +342,9 @@ def load_lightgbm_text(path) -> EnsembleModel:
 
     Numerical splits use ``value <= threshold -> left`` semantics and are
     stored with ``cmp="le"``.  ``internal_count``/``leaf_count`` populate the
-    covers.  Categorical splits are rejected.
+    covers.  What the engine would mis-compute is rejected: categorical
+    splits, multiclass dumps (one tree per class and iteration), averaged
+    output (random-forest mode), and splits that route zeros as missing.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -349,6 +352,13 @@ def load_lightgbm_text(path) -> EnsembleModel:
     if not blocks:
         raise ParseError("no Tree= blocks found in LightGBM dump")
     header, tree_blocks = blocks
+    for key in ("num_class", "num_tree_per_iteration"):
+        if header.get(key, "1") != "1":
+            raise UnsupportedFeatureError(
+                f"{key}={header[key]}: only one tree per iteration is supported"
+            )
+    if "average_output" in header:
+        raise UnsupportedFeatureError("average_output: averaged ensembles are not supported")
 
     n_features = None
     if "max_feature_idx" in header:
@@ -383,6 +393,8 @@ def _lgbm_blocks(text: str):
             current = None
             continue
         if "=" not in ln:
+            if current is None:
+                header[ln] = ""  # a bare flag such as average_output
             continue
         key, _, value = ln.partition("=")
         if key == "Tree":
@@ -437,6 +449,10 @@ def _lgbm_tree(block, tree_idx):
             if dt & _LGBM_CATEGORICAL_MASK:
                 raise UnsupportedFeatureError(
                     f"Tree={tree_idx}: categorical splits are not supported"
+                )
+            if (dt >> 2) & 3 == _LGBM_MISSING_ZERO:
+                raise UnsupportedFeatureError(
+                    f"Tree={tree_idx}: splits that treat zero as missing are not supported"
                 )
 
     def build(ref: int):

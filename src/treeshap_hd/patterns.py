@@ -19,6 +19,7 @@ from .errors import (
     EmptyBackgroundError,
     MissingCoverError,
     NaNInputError,
+    ValidationError,
     ZeroCoverError,
 )
 from .model import DecisionTree, Leaf
@@ -57,7 +58,7 @@ class PatternMemoryStats:
 def _as_rows(rows) -> np.ndarray:
     X = np.asarray(rows, dtype=np.float64)
     if X.ndim != 2:
-        raise ValueError(f"expected a 2-D dataset, got shape {X.shape}")
+        raise ValidationError(f"expected a 2-D dataset, got shape {X.shape}")
     if np.isnan(X).any():
         raise NaNInputError("dataset contains NaN")
     return X

@@ -187,12 +187,15 @@ def test_validate_depth_limit_enforced():
 
 
 def test_validate_detects_corrupted_cache(monkeypatch, capsys):
-    def corrupt(cache):
+    build = engine_module.build_diagonal_cache
+
+    def corrupted(*args, **kwargs):
+        cache = build(*args, **kwargs)
         for level in cache.levels.values():
             level *= 1.01
         return cache
 
-    monkeypatch.setattr(engine_module, "_cache_test_hook", corrupt)
+    monkeypatch.setattr(engine_module, "build_diagonal_cache", corrupted)
     code = main(["validate", "--trials", "2", "--max-depth", "4", "--seed", "5"])
     assert code == 1
     out = capsys.readouterr().out

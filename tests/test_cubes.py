@@ -12,7 +12,6 @@ from treeshap_hd.cubes import (
     INTERACTION,
     SHAPLEY,
     Cube,
-    DiagonalCache,
     _ratio,
     build_diagonal_cache,
     cache_nbytes,
@@ -23,7 +22,7 @@ from treeshap_hd.cubes import (
     map_patterns_to_cubes,
     pair_index,
 )
-from treeshap_hd.errors import DepthCapError, InvalidPairError, OutOfMemoryBudget, ParseError
+from treeshap_hd.errors import DepthCapError, InvalidPairError
 
 from oracle_utils import banzhaf_from_game, cube_game, interaction_from_game, shapley_from_game
 
@@ -264,11 +263,6 @@ def test_pair_index_is_lexicographic():
         pair_index(k, 3, 3)
 
 
-def test_cache_budget_enforced():
-    with pytest.raises(OutOfMemoryBudget):
-        build_diagonal_cache(10, SHAPLEY, memory_budget_bytes=1024)
-
-
 def test_cache_depth_cap():
     with pytest.raises(DepthCapError):
         build_diagonal_cache(30)
@@ -278,24 +272,6 @@ def test_cache_nbytes_matches_projection():
     for kind in (SHAPLEY, INTERACTION):
         cache = build_diagonal_cache(6, kind)
         assert cache.nbytes == cache_nbytes(6, kind)
-
-
-def test_cache_serialization_roundtrip(tmp_path):
-    for kind in (SHAPLEY, BANZHAF, INTERACTION):
-        cache = build_diagonal_cache(5, kind)
-        path = tmp_path / f"{kind}.bin"
-        cache.save(path)
-        back = DiagonalCache.load(path)
-        assert back.kind == kind and back.depth == 5
-        for k in range(1, 6):
-            np.testing.assert_array_equal(back.levels[k], cache.levels[k])
-
-
-def test_cache_load_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a cache file at all")
-    with pytest.raises(ParseError):
-        DiagonalCache.load(path)
 
 
 def test_factorial_ratio_accuracy_up_to_cap():

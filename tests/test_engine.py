@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,13 @@ from treeshap_hd.cubes import BANZHAF, INTERACTION, SHAPLEY, build_diagonal_cach
 from treeshap_hd.engine import (
     BACKGROUND,
     PATH_DEPENDENT,
-    DenseBaselineStats,
     ExplainRequest,
+    ExplainStats,
     brute_force_background,
     brute_force_path_dependent,
     explain,
     explain_dense,
+    projected_peak_bytes,
 )
 from treeshap_hd.errors import (
     BudgetExceededError,
@@ -19,6 +22,7 @@ from treeshap_hd.errors import (
     EmptyBackgroundError,
     NaNInputError,
     TooManyFeaturesError,
+    TreeShapHDError,
 )
 from treeshap_hd.model import DecisionTree, EnsembleModel, Leaf, SplitNode
 from treeshap_hd.synthetic import random_dataset, random_model
@@ -114,7 +118,7 @@ def test_dense_baseline_agrees(mode, functional):
 
 def test_dense_baseline_nonzero_counts_are_three_to_the_k(two_feature_tree):
     model = EnsembleModel([two_feature_tree], 2, 0.0)
-    stats = DenseBaselineStats()
+    stats = ExplainStats()
     request = request_for(model, 0, BACKGROUND, SHAPLEY)
     explain_dense(request, stats=stats)
     # leaves in DFS order have 2, 2 and 1 unique features
@@ -221,30 +225,69 @@ def test_depth_cap_propagates():
             explain(request, depth_cap=1)
 
 
-def test_supplied_cache_is_used_and_checked():
-    model = random_model(4, max_depth=5, n_features=5)
-    request = request_for(model, 0)
-    k_max = max(t.max_unique_features for t in model.trees)
-    good = build_diagonal_cache(k_max, SHAPLEY)
-    baseline = explain(request)
-    np.testing.assert_array_equal(explain(request, cache=good).values, baseline.values)
-    with pytest.raises(ValueError):
-        explain(request, cache=build_diagonal_cache(k_max, BANZHAF))
-
-
 def test_cache_test_hook_corrupts_results(monkeypatch):
+    # explain reads its diagonals from engine.build_diagonal_cache at call time
     model = random_model(4, max_depth=5, n_features=5)
     request = request_for(model, 0)
     clean = explain(request)
 
-    def corrupt(cache):
+    def corrupted(*args, **kwargs):
+        cache = build_diagonal_cache(*args, **kwargs)
         for level in cache.levels.values():
             level += 0.5
         return cache
 
-    monkeypatch.setattr(engine_module, "_cache_test_hook", corrupt)
+    monkeypatch.setattr(engine_module, "build_diagonal_cache", corrupted)
     dirty = explain(request)
     assert np.abs(dirty.values - clean.values).max() > 1e-6
+
+
+def _bad_input_calls():
+    model = random_model(1, max_depth=3, n_features=3)
+    X = random_dataset(np.random.default_rng(0), 2, 3)
+    return {
+        "mode": lambda: explain(ExplainRequest(model, X, X, "marginal", SHAPLEY)),
+        "functional": lambda: explain(ExplainRequest(model, X, X, BACKGROUND, "owen")),
+        "threads": lambda: explain(ExplainRequest(model, X, X, BACKGROUND, SHAPLEY), threads=0),
+        "cache kind": lambda: build_diagonal_cache(3, "owen"),
+        "1-D rows": lambda: explain(ExplainRequest(model, X[0], X, BACKGROUND, SHAPLEY)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_input_calls()))
+def test_bad_input_raises_package_error(case):
+    with pytest.raises(TreeShapHDError):
+        _bad_input_calls()[case]()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode", (BACKGROUND, PATH_DEPENDENT))
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("n_trees", (1, 20))
+@pytest.mark.parametrize("functional", (SHAPLEY, INTERACTION))
+def test_projected_peak_bounds_measured_peak(functional, n_trees, threads, mode):
+    model = random_model(0, max_depth=6, n_features=16, n_trees=n_trees)
+    request = request_for(model, 0, mode, functional, n=400, m=50)
+    peak = _traced_peak(lambda: explain(request, threads=threads))
+    projected = projected_peak_bytes(request, threads=threads)
+    assert peak <= projected <= 4 * peak, (peak, projected)
+
+
+def test_budget_counts_output_and_tree_results():
+    # the output and two per-tree results, each 2000 x 16 x 17 doubles,
+    # project past 10 MB; the cache and working vectors are far smaller
+    model = random_model(0, max_depth=6, n_features=16, n_trees=20)
+    request = request_for(model, 0, PATH_DEPENDENT, INTERACTION, n=2000)
+    with pytest.raises(BudgetExceededError):
+        explain(request, memory_budget_bytes=10_000_000)
 
 
 def test_bruteforce_single_leaf_model():

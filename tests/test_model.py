@@ -292,3 +292,40 @@ def test_lightgbm_single_leaf_tree(tmp_path):
     path.write_text(text)
     model = load_lightgbm_text(path)
     np.testing.assert_array_equal(model.predict([[1.0, 2.0]]), [0.75])
+
+
+def _lightgbm_dump(tmp_path, header=(), decision_type="2"):
+    """A one-stump dump; ``header`` lines go between the banner and the trees."""
+    text = "\n".join([
+        "tree", "version=v3", *header, "max_feature_idx=0", "",
+        "Tree=0", "num_leaves=2", "split_feature=0", "threshold=0.5",
+        f"decision_type={decision_type}", "left_child=-1", "right_child=-2",
+        "leaf_value=1.0 2.0", "leaf_count=4 6", "internal_count=10", "",
+        "end of trees",
+    ])
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    return path
+
+
+def test_lightgbm_plain_stump_loads(tmp_path):
+    header = ("num_class=1", "num_tree_per_iteration=1")
+    model = load_lightgbm_text(_lightgbm_dump(tmp_path, header))
+    np.testing.assert_array_equal(model.predict([[0.5], [0.7]]), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("line", ["num_class=3", "num_tree_per_iteration=3"])
+def test_lightgbm_multiclass_rejected(tmp_path, line):
+    with pytest.raises(UnsupportedFeatureError):
+        load_lightgbm_text(_lightgbm_dump(tmp_path, (line,)))
+
+
+def test_lightgbm_average_output_rejected(tmp_path):
+    with pytest.raises(UnsupportedFeatureError):
+        load_lightgbm_text(_lightgbm_dump(tmp_path, ("average_output",)))
+
+
+def test_lightgbm_zero_as_missing_rejected(tmp_path):
+    # bits 2-3 of decision_type hold the missing type; 1 is Zero (here with default_left)
+    with pytest.raises(UnsupportedFeatureError):
+        load_lightgbm_text(_lightgbm_dump(tmp_path, decision_type=str((1 << 2) | 2)))
