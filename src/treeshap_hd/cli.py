@@ -14,13 +14,14 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .cubes import BANZHAF, INTERACTION, SHAPLEY
 from .engine import (
     BACKGROUND,
+    DENSE_BASELINE_CAP,
     PATH_DEPENDENT,
     ExplainRequest,
     ExplainStats,
@@ -38,11 +39,10 @@ from .errors import (
 )
 from .fastmult import count_operations
 from .model import load_canonical, load_lightgbm_text
+from .patterns import DEFAULT_FEATURE_CAP
 from .synthetic import deep_path_model, random_dataset, random_model
 
 log = logging.getLogger("treeshap_hd")
-
-DENSE_BASELINE_CAP = 12
 
 
 @dataclass
@@ -56,7 +56,7 @@ class RunConfig:
     output_path: str | None = None
     threads: int = 1
     memory_budget_bytes: int | None = None
-    depth_cap: int = 26
+    depth_cap: int = DEFAULT_FEATURE_CAP
     seed: int = 0
 
 
@@ -313,36 +313,37 @@ def cmd_bench(
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--model")
-    sp.add_argument(
-        "--model-format", choices=["canonical", "lightgbm_text"], default="canonical"
-    )
-    sp.add_argument("--data")
-    sp.add_argument("--background")
-    sp.add_argument("--mode", choices=[BACKGROUND, PATH_DEPENDENT], default=BACKGROUND)
-    sp.add_argument("--values", choices=[SHAPLEY, BANZHAF, INTERACTION], default=SHAPLEY)
-    sp.add_argument("--output")
-    sp.add_argument("--threads", type=int, default=1)
-    sp.add_argument("--memory-budget", type=int, default=None, dest="memory_budget")
-    sp.add_argument("--depth-cap", type=int, default=26, dest="depth_cap")
-    sp.add_argument("--seed", type=int, default=0)
+# every RunConfig flag, its destination being the RunConfig field it sets
+_FLAGS = {
+    "--model": {"dest": "model_path"},
+    "--model-format": {"choices": ["canonical", "lightgbm_text"], "default": "canonical"},
+    "--data": {"dest": "consumer_path"},
+    "--background": {"dest": "background_path"},
+    "--mode": {"choices": [BACKGROUND, PATH_DEPENDENT], "default": BACKGROUND},
+    "--values": {
+        "choices": [SHAPLEY, BANZHAF, INTERACTION], "default": SHAPLEY, "dest": "functional"
+    },
+    "--output": {"dest": "output_path"},
+    "--threads": {"type": int, "default": 1},
+    "--memory-budget": {"type": int, "dest": "memory_budget_bytes"},
+    "--depth-cap": {"type": int, "default": DEFAULT_FEATURE_CAP},
+    "--seed": {"type": int, "default": 0},
+}
+
+# the flags each subcommand reads; any other is an argparse error
+_COMMAND_FLAGS = {
+    "explain": (
+        "--model", "--model-format", "--data", "--background", "--mode", "--values",
+        "--output", "--threads", "--memory-budget", "--depth-cap",
+    ),
+    "validate": ("--depth-cap", "--seed"),
+    "bench": ("--mode", "--values", "--output", "--memory-budget", "--depth-cap", "--seed"),
+}
 
 
 def _config_from(args) -> RunConfig:
-    return RunConfig(
-        model_path=args.model,
-        model_format=args.model_format,
-        consumer_path=args.data,
-        background_path=args.background,
-        mode=args.mode,
-        functional=args.values,
-        output_path=args.output,
-        threads=args.threads,
-        memory_budget_bytes=args.memory_budget,
-        depth_cap=args.depth_cap,
-        seed=args.seed,
-    )
+    names = {f.name for f in fields(RunConfig)}
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def main(argv=None) -> int:
@@ -355,9 +356,10 @@ def main(argv=None) -> int:
         description="Exact attributions for decision-tree ensembles, deep trees included.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("explain", "validate", "bench"):
+    for name, flags in _COMMAND_FLAGS.items():
         sp = sub.add_parser(name)
-        _add_common(sp)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
         if name == "validate":
             sp.add_argument("--max-depth", type=int, default=6, dest="max_depth")
             sp.add_argument("--trials", type=int, default=50)

@@ -22,13 +22,12 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DepthCapError, InvalidPairError, ValidationError
+from .patterns import DEFAULT_FEATURE_CAP
 
 SHAPLEY = "shapley"
 BANZHAF = "banzhaf"
 INTERACTION = "interaction"
 FUNCTIONALS = (SHAPLEY, BANZHAF, INTERACTION)
-
-DEFAULT_DEPTH_CAP = 26
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ def cube_interaction(cube: Cube, i, j) -> float:
 # pattern -> cube constructions
 # ---------------------------------------------------------------------------
 
-def map_patterns_to_cubes(features, cap: int = DEFAULT_DEPTH_CAP):
+def map_patterns_to_cubes(features, cap: int = DEFAULT_FEATURE_CAP):
     """Cube table {consumer pattern: {background pattern: Cube}}, 3^k entries.
 
     Starting from the empty cube at (0, 0), each feature f expands an entry
@@ -129,7 +128,7 @@ def map_patterns_to_cubes(features, cap: int = DEFAULT_DEPTH_CAP):
     }
 
 
-def diagonal_cubes(k: int, cap: int = DEFAULT_DEPTH_CAP):
+def diagonal_cubes(k: int, cap: int = DEFAULT_FEATURE_CAP):
     """The 2^k cubes on the secondary diagonal: row a -> cube at column ~a.
 
     Same expansion as :func:`map_patterns_to_cubes` minus the neither-literal
@@ -193,7 +192,7 @@ def cache_nbytes(depth: int, kind: str) -> int:
 def build_diagonal_cache(
     depth: int,
     kind: str = SHAPLEY,
-    cap: int = DEFAULT_DEPTH_CAP,
+    cap: int = DEFAULT_FEATURE_CAP,
 ) -> DiagonalCache:
     """Evaluate the functional on every diagonal cube for every k in 1..depth.
 

@@ -1,11 +1,15 @@
-"""Attribution pipeline: pattern streams x a value-matrix kernel, one leaf loop.
+"""Attribution pipeline: one tree walk x a value-matrix kernel, one leaf loop.
 
-Per tree and per leaf, the loop (1) builds the leaf's background pattern
-distribution (empirical counts or cover-ratio products), (2) multiplies each
-of the leaf's per-position value matrices by it with a kernel, scaled by the
-leaf weight, and (3) gathers each consumer's entry by its own pattern.  Each
-tree's result is added to the output as soon as the tree finishes, in model
-order, so a run holds at most threads + 1 per-tree results at once.
+Per tree, one walk (:func:`iter_leaf_patterns`) yields each leaf's consumer
+patterns with its background patterns or cover ratios.  Per leaf, the loop
+(1) builds the leaf's distribution f (empirical counts or cover-ratio
+products), (2) multiplies each of the leaf's per-position value matrices by
+it with a kernel, scaled by the leaf weight, and (3) gathers each consumer's
+entry by its own pattern.  The all-ones entry of f is the share of background
+rows (or of cover) that reaches the leaf, so the leaf adds weight x f[-1] to
+the base value.  Each tree's result is added to the output as soon as the
+tree finishes, in model order, so a run holds at most threads + 1 per-tree
+results at once.
 
 Two kernels share the loop.  :func:`explain` multiplies the cached secondary
 diagonals with the O(k 2^k) zeta kernel; :func:`explain_dense` multiplies the
@@ -49,7 +53,7 @@ from .errors import (
     ZeroCoverError,
 )
 from .fastmult import diagonal_matvec
-from .model import EnsembleModel, Leaf, root_to_leaf_paths
+from .model import EnsembleModel, Leaf
 from .patterns import (
     DEFAULT_FEATURE_CAP,
     _as_rows,
@@ -63,8 +67,9 @@ PATH_DEPENDENT = "path-dependent"
 MODES = (BACKGROUND, PATH_DEPENDENT)
 
 BRUTE_FORCE_FEATURE_CAP = 14
+DENSE_BASELINE_CAP = 12  # explain_dense enumerates 3^k cube entries per leaf
 
-# Python objects a run allocates: paths, generators, futures, and the tuples
+# Python objects a run allocates: generators, futures, and the tuples
 # the interpreter's free lists keep after the leaf loop discards them.
 # Measured at up to 255 KiB (20 depth-10 interaction trees, 2,801 leaves).
 _INTERPRETER_BYTES = 256 << 10
@@ -133,26 +138,6 @@ def _max_unique_features(model: EnsembleModel, depth_cap: int) -> int:
     if k_max > depth_cap:
         raise DepthCapError(f"model needs {k_max} unique features, cap is {depth_cap}")
     return k_max
-
-
-def _cover_expectation(node) -> float:
-    if isinstance(node, Leaf):
-        return node.weight
-    for n in (node, node.left, node.right):
-        if n.cover is None:
-            raise MissingCoverError("path-dependent mode needs covers on every node")
-    if node.cover <= 0 or node.left.cover <= 0 or node.right.cover <= 0:
-        raise ZeroCoverError("zero cover encountered while averaging")
-    return (
-        node.left.cover / node.cover * _cover_expectation(node.left)
-        + node.right.cover / node.cover * _cover_expectation(node.right)
-    )
-
-
-def _base_value(model: EnsembleModel, mode: str, B) -> float:
-    if mode == BACKGROUND:
-        return float(np.mean(model.predict(B)))
-    return model.base_score + sum(_cover_expectation(t.root) for t in model.trees)
 
 
 def projected_peak_bytes(
@@ -233,10 +218,10 @@ def _diagonal_kernel(k_max: int, functional: str, cap: int) -> _Kernel:
 def _leaf_loop(request, model, X, B, kernel, *, depth_cap, threads, stats):
     """The leaf loop both entry points share; ``kernel`` supplies the value matrices.
 
-    Trees are reduced in model order as they finish, so results are
-    bit-identical for any thread count.  The serial path holds one tree's
-    result at a time; the pool holds at most threads + 1, the one being
-    reduced and the trees submitted after it.
+    Trees are reduced in model order as they finish, so results, the base
+    value included, are bit-identical for any thread count.  The serial path
+    holds one tree's result at a time; the pool holds at most threads + 1, the
+    one being reduced and the trees submitted after it.
     """
     F = model.n_features
     n = X.shape[0]
@@ -249,21 +234,20 @@ def _leaf_loop(request, model, X, B, kernel, *, depth_cap, threads, stats):
         acc = np.zeros(shape)
         phi = np.zeros((n, F)) if interaction else None
         held = ExplainStats() if stats is not None else None
-        cons = iter_leaf_patterns(tree, X, cap=depth_cap)
-        bg = iter_leaf_patterns(tree, B, cap=depth_cap) if B is not None else None
-        for (leaf, path), citem in zip(root_to_leaf_paths(tree), cons):
-            assert citem.leaf is leaf, "pattern stream out of step with path stream"
-            feats = citem.features
+        base = 0.0
+        for item in iter_leaf_patterns(tree, X, B, covers=B is None, cap=depth_cap):
+            feats = item.features
             k = len(feats)
-            if bg is not None:
-                f = background_distribution(next(bg).patterns, k)
+            if B is not None:
+                f = background_distribution(item.background, k)
             else:
-                f = path_dependent_distribution(leaf, path)
+                f = path_dependent_distribution(item.ratios)
+            w = item.leaf.weight
+            base += w * f[-1]  # f[-1]: the share that reaches the leaf
             if k == 0:
                 continue  # constant leaf: contributes to the base value only
             main, shap, entries = kernel.tables[k]
-            pc = citem.patterns
-            w = leaf.weight
+            pc = item.patterns
             if held is not None:
                 held.peak_bytes = max(held.peak_bytes, 3 * f.nbytes + pc.nbytes + bg_bytes)
                 held.leaf_nonzeros.append(entries)
@@ -277,14 +261,16 @@ def _leaf_loop(request, model, X, B, kernel, *, depth_cap, threads, stats):
             else:
                 for j, feat in enumerate(feats):
                     acc[:, feat] += w * apply(main[j], f)[pc]
-        return acc, phi, held
+        return acc, phi, base, held
 
     values = np.zeros(shape)
     phi_total = np.zeros((n, F)) if interaction else None
+    base_total = np.zeros(1)  # the trees' shares of the base value
 
     def add_tree(result):
-        acc, phi, held = result
+        acc, phi, base, held = result
         np.add(values, acc, out=values)
+        base_total[0] += base
         if interaction:
             np.add(phi_total, phi, out=phi_total)
         if held is not None:
@@ -309,7 +295,7 @@ def _leaf_loop(request, model, X, B, kernel, *, depth_cap, threads, stats):
         values[:, idx, idx] = phi_total - values.sum(axis=2)
     if stats is not None:
         stats.table_bytes += kernel.nbytes
-    return AttributionResult(values, _base_value(model, request.mode, B))
+    return AttributionResult(values, float(model.base_score + base_total[0]))
 
 
 def explain(
@@ -522,7 +508,7 @@ def _dense_kernel(k_max: int, functional: str) -> _Kernel:
 def explain_dense(
     request: ExplainRequest,
     *,
-    depth_cap: int = 12,
+    depth_cap: int = DENSE_BASELINE_CAP,
     stats: ExplainStats | None = None,
 ) -> AttributionResult:
     """Same contract as :func:`explain`, via full sparse value matrices.

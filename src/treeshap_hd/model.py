@@ -362,7 +362,7 @@ def load_lightgbm_text(path) -> EnsembleModel:
 
     n_features = None
     if "max_feature_idx" in header:
-        n_features = int(header["max_feature_idx"]) + 1
+        n_features = _lgbm_int(header["max_feature_idx"], "max_feature_idx") + 1
     feature_names = header.get("feature_names", "").split() or None
 
     trees = []
@@ -419,12 +419,22 @@ def _lgbm_floats(block, key, tree_idx):
         raise ParseError(f"Tree={tree_idx}: bad {key} array") from exc
 
 
+def _lgbm_int(value: str, what: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"{what}={value!r} is not an integer") from None
+
+
 def _lgbm_ints(block, key, tree_idx):
-    return [int(x) for x in _lgbm_floats(block, key, tree_idx)]
+    values = _lgbm_floats(block, key, tree_idx)
+    if not all(x.is_integer() for x in values):  # False for inf and nan too
+        raise ParseError(f"Tree={tree_idx}: {key} must hold integers")
+    return [int(x) for x in values]
 
 
 def _lgbm_tree(block, tree_idx):
-    num_leaves = int(block.get("num_leaves", "0"))
+    num_leaves = _lgbm_int(block.get("num_leaves", "0"), f"Tree={tree_idx}: num_leaves")
     leaf_value = _lgbm_floats(block, "leaf_value", tree_idx)
     if num_leaves != len(leaf_value):
         raise ParseError(f"Tree={tree_idx}: num_leaves disagrees with leaf_value")
@@ -441,6 +451,8 @@ def _lgbm_tree(block, tree_idx):
     left_child = _lgbm_ints(block, "left_child", tree_idx)
     right_child = _lgbm_ints(block, "right_child", tree_idx)
     n_internal = len(split_feature)
+    if min(split_feature, default=0) < 0:
+        raise ParseError(f"Tree={tree_idx}: negative split_feature")
     internal_count = None
     if "internal_count" in block:
         internal_count = _lgbm_floats(block, "internal_count", tree_idx)
@@ -455,7 +467,12 @@ def _lgbm_tree(block, tree_idx):
                     f"Tree={tree_idx}: splits that treat zero as missing are not supported"
                 )
 
+    seen = set()
+
     def build(ref: int):
+        if ref in seen:  # a cycle, or a node shared by two parents
+            raise ParseError(f"Tree={tree_idx}: node reference {ref} revisits a node")
+        seen.add(ref)
         if ref < 0:  # negative refs address leaves as -(index)-1
             i = -ref - 1
             if i >= num_leaves:

@@ -267,3 +267,43 @@ def test_explain_budget_exceeded_exits_3(tmp_path):
         "--output", str(tmp_path / "o.csv"),
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "line, edited",
+    [
+        ("max_feature_idx=4", "max_feature_idx=x"),
+        ("num_leaves=5", "num_leaves=x"),
+        ("split_feature=2 0 0 1", "split_feature=2 nan 0 1"),
+        ("left_child=1 -1 3 -3", "left_child=1 -1 inf -3"),
+        ("left_child=1 -1 3 -3", "left_child=0 -1 3 -3"),  # the root is its own child
+        ("split_feature=2 0 0 1", "split_feature=2 0.7 0 1"),
+        ("split_feature=2 0 0 1", "split_feature=2 -1 0 1"),
+    ],
+)
+def test_malformed_lightgbm_dump_exits_2(tmp_path, line, edited):
+    with open(os.path.join(FIXTURES, "lightgbm_model.txt"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count(line + "\n") == 1
+    model = tmp_path / "model.txt"
+    model.write_text(text.replace(line + "\n", edited + "\n"), encoding="utf-8")
+    code = main([
+        "explain", "--model", str(model), "--model-format", "lightgbm_text",
+        "--data", os.path.join(FIXTURES, "lightgbm_rows.csv"),
+        "--mode", "path-dependent", "--output", str(tmp_path / "o.csv"),
+    ])
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--trials", "1", "--threads", "2"],
+        ["bench", "--depths", "3", "--model", "m.json"],
+    ],
+)
+def test_subcommand_rejects_flags_it_ignores(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

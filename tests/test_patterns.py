@@ -128,22 +128,24 @@ def _chain(covers, features, thresholds, leaf_weight=1.0):
     return DecisionTree(node)
 
 
+def _first_leaf_distribution(tree, n_features=2):
+    item = first_leaf_patterns(tree, np.zeros((1, n_features)), covers=True)
+    return path_dependent_distribution(item.ratios)
+
+
 def test_path_dependent_repeated_feature_chain():
     tree = _chain([100.0, 60.0, 30.0], [0, 0], [10.0, 5.0])
-    leaf, path = next(root_to_leaf_paths(tree))
-    np.testing.assert_allclose(path_dependent_distribution(leaf, path), [0.7, 0.3])
+    np.testing.assert_allclose(_first_leaf_distribution(tree), [0.7, 0.3])
 
 
 def test_path_dependent_single_split():
     tree = _chain([100.0, 60.0], [0], [10.0])
-    leaf, path = next(root_to_leaf_paths(tree))
-    np.testing.assert_allclose(path_dependent_distribution(leaf, path), [0.4, 0.6])
+    np.testing.assert_allclose(_first_leaf_distribution(tree), [0.4, 0.6])
 
 
 def test_path_dependent_two_features_product():
     tree = _chain([100.0, 50.0, 12.5], [0, 1], [10.0, 10.0])
-    leaf, path = next(root_to_leaf_paths(tree))
-    got = path_dependent_distribution(leaf, path)
+    got = _first_leaf_distribution(tree)
     # independent expansion of the two-factor product, most significant bit first
     r = [0.5, 0.25]
     want = [
@@ -156,28 +158,45 @@ def test_path_dependent_two_features_product():
 
 def test_path_dependent_missing_cover():
     tree = _chain([100.0, 60.0], [0], [10.0])
-    leaf, path = next(root_to_leaf_paths(tree))
-    path[0].cover = None
+    tree.root.cover = None
     with pytest.raises(MissingCoverError):
-        path_dependent_distribution(leaf, path)
+        _first_leaf_distribution(tree)
 
 
 def test_path_dependent_zero_cover():
     tree = _chain([100.0, 0.0], [0], [10.0])
-    leaf, path = next(root_to_leaf_paths(tree))
     with pytest.raises(ZeroCoverError):
-        path_dependent_distribution(leaf, path)
+        _first_leaf_distribution(tree)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_path_dependent_distribution_sums_to_one(seed):
     model = random_model(seed, max_depth=5, n_features=4, n_trees=1)
-    tree = model.trees[0]
-    for leaf, path in root_to_leaf_paths(tree):
-        values = path_dependent_distribution(leaf, path)
+    X = random_dataset(np.random.default_rng(seed), 3, 4)
+    for item in iter_leaf_patterns(model.trees[0], X, covers=True):
+        values = path_dependent_distribution(item.ratios)
         assert values.min() >= 0
         assert abs(values.sum() - 1.0) <= 1e-9
+
+
+def test_one_walk_matches_separate_walks():
+    # consumer and background patterns from one walk equal two walks' patterns
+    for seed in range(6):
+        model = random_model(seed, max_depth=7, n_features=5, n_trees=1)
+        tree = model.trees[0]
+        rng = np.random.default_rng(seed + 100)
+        X, B = random_dataset(rng, 17, 5), random_dataset(rng, 9, 5)
+        joint = list(iter_leaf_patterns(tree, X, B))
+        alone_x = list(iter_leaf_patterns(tree, X))
+        alone_b = list(iter_leaf_patterns(tree, B))
+        assert len(joint) == len(alone_x) == len(alone_b)
+        for item, ix, ib in zip(joint, alone_x, alone_b):
+            assert item.leaf is ix.leaf is ib.leaf
+            assert item.features == ix.features == ib.features
+            np.testing.assert_array_equal(item.patterns, ix.patterns)
+            np.testing.assert_array_equal(item.background, ib.patterns)
+            assert ix.background is None and ix.ratios is None
 
 
 def test_all_ones_pattern_count_equals_leaf_hits():
@@ -209,6 +228,18 @@ def test_streaming_retains_at_most_depth_plus_one_vectors():
     for _ in iter_leaf_patterns(model.trees[0], X, stats=stats):
         pass
     assert stats.peak <= model.trees[0].max_path_depth + 1
+    assert stats.live == 0
+
+
+def test_streaming_with_background_retains_at_most_two_vectors_per_level():
+    model = complete_tree_model(10)
+    rng = np.random.default_rng(0)
+    X = random_dataset(rng, 5, model.n_features)
+    B = random_dataset(rng, 7, model.n_features)
+    stats = PatternMemoryStats()
+    for _ in iter_leaf_patterns(model.trees[0], X, B, stats=stats):
+        pass
+    assert stats.peak <= 2 * (model.trees[0].max_path_depth + 1)
     assert stats.live == 0
 
 
