@@ -3,9 +3,10 @@
 Per tree, one walk (:func:`iter_leaf_patterns`) yields each leaf's consumer
 patterns with its background patterns or cover ratios.  Per leaf, the loop
 (1) builds the leaf's distribution f (empirical counts or cover-ratio
-products), (2) multiplies each of the leaf's per-position value matrices by
-it with a kernel, scaled by the leaf weight, and (3) gathers each consumer's
-entry by its own pattern.  The all-ones entry of f is the share of background
+products), (2) multiplies the leaf's per-position value matrices by it with
+a kernel, a block of max(1, n >> k) matrices per call for n consumer rows,
+and (3) gathers each consumer's entry of each product by its own pattern,
+scaled by the leaf weight.  The all-ones entry of f is the share of background
 rows (or of cover) that reaches the leaf, so the leaf adds weight x f[-1] to
 the base value.  Each tree's result is added to the output as soon as the
 tree finishes, in model order, so a run holds at most threads + 1 per-tree
@@ -41,7 +42,6 @@ from .cubes import (
     cube_interaction,
     cube_shapley,
     map_patterns_to_cubes,
-    pair_index,
 )
 from .errors import (
     BudgetExceededError,
@@ -71,8 +71,9 @@ DENSE_BASELINE_CAP = 12  # explain_dense enumerates 3^k cube entries per leaf
 
 # Python objects a run allocates: generators, futures, and the tuples
 # the interpreter's free lists keep after the leaf loop discards them.
-# Measured at up to 255 KiB (20 depth-10 interaction trees, 2,801 leaves).
-_INTERPRETER_BYTES = 256 << 10
+# Measured at up to 113 KiB (20 depth-10 interaction trees, 2,801 leaves,
+# one row, path-dependent; 15 KiB in background mode).
+_INTERPRETER_BYTES = 128 << 10
 
 
 @dataclass
@@ -98,10 +99,13 @@ class ExplainStats:
 
     ``table_bytes`` counts the kernel's value tables (the diagonal caches, or
     the sparse matrices); ``peak_bytes`` is the largest per-leaf working set,
-    tables excluded; ``leaf_nonzeros`` lists, per leaf with k >= 1 in model
-    and depth-first order, the stored entries of one of its value matrices
-    (2^k diagonal entries, or 3^k sparse ones).  A run adds to what the
-    object already holds.
+    tables excluded: the leaf's distribution and its counts, the consumer and
+    background patterns, one block of products (at most max(n, 2^k) entries)
+    and the zeta passes' copy of an overlapping operand, up to 1.5 blocks;
+    ``leaf_nonzeros`` lists, per leaf with k >= 1 in model and depth-first
+    order, the stored entries of one of its value matrices (2^k diagonal
+    entries, or 3^k sparse ones).  A run adds to what the object already
+    holds.
     """
 
     table_bytes: int = 0
@@ -172,10 +176,12 @@ def projected_peak_bytes(
         if interaction:
             tables += cache_nbytes(k_max, SHAPLEY)
     # six 2^k_max vectors: a leaf's distribution, its bincount and the kernel's
-    # vector, or the temporaries of building the cache's deepest level; two
-    # gathered rows; per dataset, depth + 1 live pattern vectors and a split's
-    # temporaries
-    worker = (48 << k_max) + 16 * n + 4 * (depth + 3) * (n + m)
+    # vector, or the temporaries of building the cache's deepest level; a
+    # block of products, at most max(n, 2^k_max) entries, with the zeta
+    # passes' copy of up to 1.5 blocks; two gathered rows; per dataset,
+    # depth + 1 live pattern vectors and a split's temporaries
+    block = max(n, 1 << k_max)
+    worker = (48 << k_max) + 20 * block + 16 * n + 4 * (depth + 3) * (n + m)
     workers = max(1, min(threads, n_trees))
     F = model.n_features
     result = 8 * n * F * (F + 1 if interaction else 1)
@@ -187,10 +193,13 @@ def projected_peak_bytes(
 
 
 class _Kernel(NamedTuple):
-    """The value matrices the leaf loop multiplies, and the product that applies one.
+    """The value matrices the leaf loop multiplies, and the product that applies a block.
 
     ``tables[k]`` is (the functional's matrices, the Shapley matrices for
-    interactions, stored entries per matrix); ``nbytes`` sizes all of them.
+    interactions, stored entries per matrix, the position pair of each
+    interaction matrix); ``apply(mats, r0, r1, f)`` returns the
+    (r1 - r0, 2^k) products of matrices r0..r1-1 with f; ``nbytes`` sizes
+    all the tables.
     """
 
     tables: dict
@@ -199,20 +208,27 @@ class _Kernel(NamedTuple):
 
 
 def _diagonal_kernel(k_max: int, functional: str, cap: int) -> _Kernel:
-    """Fast path: :func:`diagonal_matvec` over cached secondary diagonals."""
+    """Fast path: one :func:`diagonal_matvec` per block of cached secondary diagonals."""
     main = shap = None
     if k_max:
         main = build_diagonal_cache(k_max, functional, cap=cap)
         if functional == INTERACTION:
             shap = build_diagonal_cache(k_max, SHAPLEY, cap=cap)
+    # for interactions, the position pairs in the order the cache's rows hold them
     tables = {
-        k: (main.levels[k], shap.levels[k] if shap else None, 1 << k)
+        k: (
+            main.levels[k],
+            shap.levels[k] if shap else None,
+            1 << k,
+            list(combinations(range(k), 2)) if shap else None,
+        )
         for k in range(1, k_max + 1)
     }
     nbytes = sum(cache.nbytes for cache in (main, shap) if cache is not None)
     # a lambda, so diagonal_matvec is looked up per call and a wrapper swapped
-    # into this module (as the benchmark's trace does) takes effect
-    return _Kernel(tables, lambda diag, f: diagonal_matvec(diag, f), nbytes)
+    # into this module (as the benchmark's trace does) takes effect; the row
+    # slice is a view of the cache level
+    return _Kernel(tables, lambda level, r0, r1, f: diagonal_matvec(level[r0:r1], f), nbytes)
 
 
 def _leaf_loop(request, model, X, B, kernel, *, depth_cap, threads, stats):
@@ -246,21 +262,34 @@ def _leaf_loop(request, model, X, B, kernel, *, depth_cap, threads, stats):
             base += w * f[-1]  # f[-1]: the share that reaches the leaf
             if k == 0:
                 continue  # constant leaf: contributes to the base value only
-            main, shap, entries = kernel.tables[k]
+            main, shap, entries, pairs = kernel.tables[k]
             pc = item.patterns
+            # a block holds at most max(n, 2^k) entries: one gathered row or one f
+            block = max(1, n >> k)
             if held is not None:
-                held.peak_bytes = max(held.peak_bytes, 3 * f.nbytes + pc.nbytes + bg_bytes)
+                block_bytes = min(block, max(k, len(main))) * f.nbytes
+                # f and its counts, the block, and the zeta passes' copy of
+                # an overlapping operand, up to 1.5 blocks
+                working = 2 * f.nbytes + block_bytes + 3 * block_bytes // 2
+                held.peak_bytes = max(held.peak_bytes, working + pc.nbytes + bg_bytes)
                 held.leaf_nonzeros.append(entries)
-            if interaction:
-                for j, feat in enumerate(feats):
-                    phi[:, feat] += w * apply(shap[j], f)[pc]
-                for (j1, f1), (j2, f2) in combinations(enumerate(feats), 2):
-                    contrib = w * apply(main[pair_index(k, j1, j2)], f)[pc]
-                    acc[:, f1, f2] += contrib
-                    acc[:, f2, f1] += contrib
-            else:
-                for j, feat in enumerate(feats):
-                    acc[:, feat] += w * apply(main[j], f)[pc]
+            # interactions: the Shapley rows into phi, then the pair rows into acc
+            runs = ((shap, phi, None), (main, acc, pairs)) if interaction else ((main, acc, None),)
+            for level, out, level_pairs in runs:
+                rows = len(level)
+                for r0 in range(0, rows, block):
+                    G = apply(level, r0, min(r0 + block, rows), f)
+                    for r, g in enumerate(G, r0):
+                        t = g[pc]
+                        t *= w
+                        if level_pairs is None:
+                            out[:, feats[r]] += t
+                        else:
+                            j1, j2 = level_pairs[r]
+                            out[:, feats[j1], feats[j2]] += t
+                            out[:, feats[j2], feats[j1]] += t
+                        del t  # freed before the next row's gather allocates
+                    del G, g
         return acc, phi, base, held
 
     values = np.zeros(shape)
@@ -483,15 +512,13 @@ def _sparse_tables(k: int, functional: str):
         return scipy.sparse.csr_matrix((values, (rows, cols)), shape=shape)
 
     if functional == INTERACTION:
-        mats = [
-            matrix([cube_interaction(c, j1, j2) for c in cubes])
-            for j1, j2 in combinations(range(k), 2)
-        ]
+        pairs = list(combinations(range(k), 2))
+        mats = [matrix([cube_interaction(c, j1, j2) for c in cubes]) for j1, j2 in pairs]
         shap = [matrix([cube_shapley(c, j) for c in cubes]) for j in range(k)]
-        return mats, shap, len(cubes)
+        return mats, shap, len(cubes), pairs
     fn = cube_shapley if functional == SHAPLEY else cube_banzhaf
     mats = [matrix([fn(c, j) for c in cubes]) for j in range(k)]
-    return mats, None, len(cubes)
+    return mats, None, len(cubes), None
 
 
 def _dense_kernel(k_max: int, functional: str) -> _Kernel:
@@ -499,10 +526,12 @@ def _dense_kernel(k_max: int, functional: str) -> _Kernel:
     tables = {k: _sparse_tables(k, functional) for k in range(1, k_max + 1)}
     nbytes = sum(
         mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-        for mats, shap, _entries in tables.values()
+        for mats, shap, *_ in tables.values()
         for mat in mats + (shap or [])
     )
-    return _Kernel(tables, lambda mat, f: mat.dot(f), nbytes)
+    return _Kernel(
+        tables, lambda mats, r0, r1, f: np.stack([m.dot(f) for m in mats[r0:r1]]), nbytes
+    )
 
 
 def explain_dense(

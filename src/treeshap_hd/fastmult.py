@@ -9,6 +9,9 @@ unrolls into two subset-zeta transforms around one element-wise product:
     out = zeta( diag * zeta(g) ),   g[a] = f[~a]
 
 costing exactly k * 2^k additions plus 2^k multiplications for length 2^k.
+The transforms run along the last axis, so a block of r diagonals multiplies
+the same vector in one call, r times the work of one, and Python loops once
+per block instead of once per diagonal.
 """
 
 from __future__ import annotations
@@ -52,11 +55,12 @@ def _require_power_of_two(n: int) -> None:
 
 
 def _zeta_inplace(v: np.ndarray) -> None:
-    # k passes, ascending bit position; each pass does len/2 additions
-    n = v.size
-    half = n >> 1
+    # along the last axis of a C-contiguous v: k passes, ascending bit
+    # position, each doing v.size/2 additions; the (-1, 2, bit) view never
+    # pairs entries of different rows, as every row's length is a multiple of 2 * bit
+    half = v.size >> 1
     bit = 1
-    while bit < n:
+    while bit < v.shape[-1]:
         w = v.reshape(-1, 2, bit)
         w[:, 1, :] += w[:, 0, :]
         if _counter is not None:
@@ -68,7 +72,7 @@ def subset_zeta(v) -> np.ndarray:
     """Sum over bitwise subsets: out[x] = sum of v[x'] over x' subset of x."""
     v = np.array(v, dtype=np.float64)
     _require_power_of_two(v.size)
-    _zeta_inplace(v)
+    _zeta_inplace(v.reshape(-1))
     return v
 
 
@@ -78,19 +82,25 @@ def diagonal_matvec(diag, f) -> np.ndarray:
     Unrolled form of the halving recursion r = [M2 v2, M2 v2 + M3 (v1+v2)]:
     the downward v1+v2 accumulations are one zeta pass over the complement-
     reindexed input, the upward r1+r2 accumulations are the second pass.
-    Inputs are never mutated.
+    ``diag`` is one diagonal of length 2^k, or an (r, 2^k) block of them;
+    row i of a block's (r, 2^k) result is bit-identical to
+    ``diagonal_matvec(diag[i], f)``, and the block costs r times the adds and
+    muls of one.  Inputs are never mutated.
     """
     diag = np.asarray(diag, dtype=np.float64)
-    n = diag.size
+    if diag.ndim not in (1, 2):
+        raise LengthError(f"expected one diagonal or a block of them, got shape {diag.shape}")
+    n = diag.shape[-1]
     _require_power_of_two(n)
-    f = np.asarray(f, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64).reshape(-1)
     if f.size != n:
         raise LengthError(f"diagonal has length {n} but vector has {f.size}")
-    g = f[::-1].astype(np.float64)  # g[a] = f[~a]
+    g = np.empty(diag.shape)
+    g[...] = f[::-1]  # g[a] = f[~a], in every row
     _zeta_inplace(g)
     g *= diag
     if _counter is not None:
-        _counter.muls += n
+        _counter.muls += diag.size
     _zeta_inplace(g)
     return g
 

@@ -97,9 +97,8 @@ class EnsembleModel:
         if np.isnan(X).any():
             raise NaNInputError("input rows contain NaN")
         out = np.full(X.shape[0], self.base_score, dtype=np.float64)
-        idx = np.arange(X.shape[0])
         for tree in self.trees:
-            _add_leaf_weights(tree.root, X, idx, out)
+            _add_leaf_weights(tree.root, X, out)
         return out
 
     def active_features(self) -> list[int]:
@@ -111,15 +110,19 @@ class EnsembleModel:
         return sorted(used)
 
 
-def _add_leaf_weights(node, X, idx, out) -> None:
-    while isinstance(node, SplitNode):
+def _add_leaf_weights(root, X, out) -> None:
+    # an explicit stack, left child first, so no path depth hits the recursion limit
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
         if idx.size == 0:
-            return
+            continue
+        if isinstance(node, Leaf):
+            out[idx] += node.weight
+            continue
         go_left = node.goes_left(X[idx, node.feature])
-        _add_leaf_weights(node.left, X, idx[go_left], out)
-        node = node.right
-        idx = idx[~go_left]
-    out[idx] += node.weight
+        stack.append((node.right, idx[~go_left]))
+        stack.append((node.left, idx[go_left]))
 
 
 def _paths_from(root):
@@ -300,15 +303,15 @@ def save_canonical(model: EnsembleModel, path) -> None:
 
 
 def _flatten_tree(tree: DecisionTree) -> list[dict]:
+    """Node records in pre-order (node, left subtree, right subtree), by explicit stack."""
     nodes: list[dict] = []
-
-    def visit(node) -> int:
-        i = len(nodes)
+    stack = [(tree.root, None, None)]  # (node, parent record, side it fills)
+    while stack:
+        node, parent, side = stack.pop()
+        if parent is not None:
+            parent[side] = len(nodes)
         if isinstance(node, Leaf):
             rec = {"kind": "leaf", "weight": node.weight}
-            if node.cover is not None:
-                rec["cover"] = node.cover
-            nodes.append(rec)
         else:
             rec = {
                 "kind": "split",
@@ -318,14 +321,11 @@ def _flatten_tree(tree: DecisionTree) -> list[dict]:
                 "left": -1,
                 "right": -1,
             }
-            if node.cover is not None:
-                rec["cover"] = node.cover
-            nodes.append(rec)
-            rec["left"] = visit(node.left)
-            rec["right"] = visit(node.right)
-        return i
-
-    visit(tree.root)
+            stack.append((node.right, rec, "right"))
+            stack.append((node.left, rec, "left"))
+        if node.cover is not None:
+            rec["cover"] = node.cover
+        nodes.append(rec)
     return nodes
 
 
@@ -456,6 +456,14 @@ def _lgbm_tree(block, tree_idx):
     internal_count = None
     if "internal_count" in block:
         internal_count = _lgbm_floats(block, "internal_count", tree_idx)
+    per_node = {"threshold": threshold, "left_child": left_child, "right_child": right_child}
+    if internal_count is not None:
+        per_node["internal_count"] = internal_count
+    for key, values in per_node.items():
+        if len(values) != n_internal:
+            raise ParseError(f"Tree={tree_idx}: {key} must hold one entry per split")
+    if leaf_count is not None and len(leaf_count) != num_leaves:
+        raise ParseError(f"Tree={tree_idx}: leaf_count must hold one entry per leaf")
     if "decision_type" in block:
         for dt in _lgbm_ints(block, "decision_type", tree_idx):
             if dt & _LGBM_CATEGORICAL_MASK:
@@ -469,7 +477,7 @@ def _lgbm_tree(block, tree_idx):
 
     seen = set()
 
-    def build(ref: int):
+    def node_at(ref: int):
         if ref in seen:  # a cycle, or a node shared by two parents
             raise ParseError(f"Tree={tree_idx}: node reference {ref} revisits a node")
         seen.add(ref)
@@ -482,14 +490,20 @@ def _lgbm_tree(block, tree_idx):
         if ref >= n_internal:
             raise ParseError(f"Tree={tree_idx}: node reference {ref} out of range")
         cover = internal_count[ref] if internal_count else None
-        return SplitNode(
-            split_feature[ref],
-            threshold[ref],
-            build(left_child[ref]),
-            build(right_child[ref]),
-            cover,
-            cmp="le",
-        )
+        return SplitNode(split_feature[ref], threshold[ref], None, None, cover, cmp="le")
 
-    root = build(0)
+    # pre-order by explicit stack, left child first: nodes are built and
+    # checked in the order a recursive build visits them, at any depth
+    root = None
+    stack = [(None, None, 0)]  # (parent, side it fills, node reference)
+    while stack:
+        parent, side, ref = stack.pop()
+        node = node_at(ref)
+        if parent is None:
+            root = node
+        else:
+            setattr(parent, side, node)
+        if isinstance(node, SplitNode):
+            stack.append((node, "right", right_child[ref]))
+            stack.append((node, "left", left_child[ref]))
     return root, max(split_feature)

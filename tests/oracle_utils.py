@@ -103,3 +103,48 @@ def leaf_hit_counts(tree, X):
         leaf = route_row(tree.root, row)
         counts[id(leaf)] = counts.get(id(leaf), 0) + 1
     return counts
+
+
+LEFT_CHAIN_SPLITS = 1100  # past Python's default recursion limit of 1000
+
+
+def _left_chain_thresholds():
+    # split i sends x0 <= 1 - (i + 1) / (splits + 1) left
+    return 1.0 - np.arange(1, LEFT_CHAIN_SPLITS + 1) / (LEFT_CHAIN_SPLITS + 1)
+
+
+def _left_chain_leaf_values():
+    # leaf i is split i's right child; the last leaf ends the chain on the left
+    return np.round(np.linspace(-1.0, 1.0, LEFT_CHAIN_SPLITS + 1), 6)
+
+
+def left_chain_predictions(X):
+    """Oracle for :func:`write_lightgbm_left_chain`: the first split a row
+    fails picks its leaf; a row that fails none reaches the last leaf."""
+    right = X[:, :1] > _left_chain_thresholds()[None, :]
+    first = np.where(right.any(axis=1), right.argmax(axis=1), LEFT_CHAIN_SPLITS)
+    return _left_chain_leaf_values()[first]
+
+
+def write_lightgbm_left_chain(path):
+    """A LightGBM text dump of one tree over two features: a chain of 1,100
+    splits on feature 0, each with a leaf as its right child, covers throughout."""
+    s = LEFT_CHAIN_SPLITS
+    left = [str(i + 1) for i in range(s - 1)] + [str(-s - 1)]
+    right = [str(-i - 1) for i in range(s)]
+    lines = [
+        "tree", "version=v3", "max_feature_idx=1", "",
+        "Tree=0", f"num_leaves={s + 1}",
+        "split_feature=" + " ".join(["0"] * s),
+        "threshold=" + " ".join(repr(float(t)) for t in _left_chain_thresholds()),
+        "decision_type=" + " ".join(["2"] * s),
+        "left_child=" + " ".join(left),
+        "right_child=" + " ".join(right),
+        "leaf_value=" + " ".join(repr(float(v)) for v in _left_chain_leaf_values()),
+        "leaf_count=" + " ".join(["2"] * (s + 1)),
+        "internal_count=" + " ".join(str(2 * (s + 1 - i)) for i in range(s)),
+        "", "end of trees",
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+    return path

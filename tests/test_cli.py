@@ -10,6 +10,8 @@ from treeshap_hd.cli import RunConfig, cmd_bench, main
 from treeshap_hd.model import save_canonical
 from treeshap_hd.synthetic import random_dataset, random_model
 
+from oracle_utils import left_chain_predictions, write_lightgbm_left_chain
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
@@ -154,6 +156,25 @@ def test_explain_lightgbm_format(tmp_path):
         assert abs(row[1] + sum(row[2:]) - pred) <= 1e-6
 
 
+@pytest.mark.parametrize("mode", ["path-dependent", "background"])
+def test_explain_deep_lightgbm_chain(tmp_path, mode):
+    # a 1,100-split chain loads and explains without hitting the recursion limit
+    model = write_lightgbm_left_chain(tmp_path / "chain.txt")
+    rng = np.random.default_rng(1)
+    X = random_dataset(rng, 50, 2)
+    data, background, out = tmp_path / "data.csv", tmp_path / "bg.csv", tmp_path / "out.csv"
+    write_csv(data, ["x0", "x1"], X.tolist())
+    write_csv(background, ["x0", "x1"], random_dataset(rng, 20, 2).tolist())
+    args = ["explain", "--model", str(model), "--model-format", "lightgbm_text",
+            "--data", str(data), "--mode", mode, "--output", str(out)]
+    if mode == "background":
+        args += ["--background", str(background)]
+    assert main(args) == 0
+    _, rows = read_output(out)
+    totals = [row[1] + sum(row[2:]) for row in rows]
+    np.testing.assert_allclose(totals, left_chain_predictions(X), rtol=0, atol=1e-8)
+
+
 def test_threads_flag_is_bit_identical(tmp_path):
     model = random_model(8, max_depth=5, n_features=4, n_trees=4)
     model_path = tmp_path / "model.json"
@@ -279,6 +300,9 @@ def test_explain_budget_exceeded_exits_3(tmp_path):
         ("left_child=1 -1 3 -3", "left_child=0 -1 3 -3"),  # the root is its own child
         ("split_feature=2 0 0 1", "split_feature=2 0.7 0 1"),
         ("split_feature=2 0 0 1", "split_feature=2 -1 0 1"),
+        ("right_child=2 -2 -5 -4", "right_child=2 -2 -5"),  # arrays one entry per split
+        ("internal_count=1000 436 564 176", "internal_count=1000 436 564"),
+        ("leaf_count=275 161 95 81 388", "leaf_count=275 161 95 81"),
     ],
 )
 def test_malformed_lightgbm_dump_exits_2(tmp_path, line, edited):

@@ -192,6 +192,22 @@ def test_determinism_and_thread_count_invariance():
     assert first.base_value == second.base_value == threaded.base_value
 
 
+@pytest.mark.parametrize("mode", (BACKGROUND, PATH_DEPENDENT))
+@pytest.mark.parametrize("functional", ALL_FUNCTIONALS)
+def test_values_do_not_depend_on_block_size(functional, mode):
+    # a leaf's rows are multiplied in blocks of max(1, n >> k): with 4 rows a
+    # block is one row from k = 2 up, with 1000 rows a depth-8 leaf takes 3
+    model = random_model(7, max_depth=8, n_features=20, n_trees=3)
+    rng = np.random.default_rng(7)
+    X = random_dataset(rng, 1000, 20)
+    B = random_dataset(rng, 50, 20) if mode == BACKGROUND else None
+    assert max(t.max_unique_features for t in model.trees) == 8
+    many = explain(ExplainRequest(model, X, B, mode, functional))
+    few = explain(ExplainRequest(model, X[:4], B, mode, functional))
+    assert np.array_equal(few.values, many.values[:4])
+    assert few.base_value == many.base_value
+
+
 def test_background_required():
     model = random_model(1, max_depth=3, n_features=3)
     X = random_dataset(np.random.default_rng(0), 2, 3)

@@ -177,3 +177,22 @@ def test_reconstruction_matches_densified_cube_table():
             np.testing.assert_allclose(dense_from_diagonal(diag), dense, atol=1e-12)
             cache = build_diagonal_cache(k, SHAPLEY)
             np.testing.assert_array_equal(cache.diagonal(k, j), diag)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_block_matvec_is_stacked_single_calls(k):
+    rng = np.random.default_rng(100 + k)
+    n = 1 << k
+    f = rng.normal(size=n)
+    for r in sorted({1, 3, k}):
+        block = rng.normal(size=(r, n))
+        with count_operations() as ops:
+            got = diagonal_matvec(block, f)
+        assert got.shape == (r, n)
+        assert ops.adds == r * k * n
+        assert ops.muls == r * n
+        assert np.array_equal(got, np.stack([diagonal_matvec(row, f) for row in block]))
+        with pytest.raises(LengthError):
+            diagonal_matvec(block, np.ones(2 * n))
+        with pytest.raises(LengthError):
+            diagonal_matvec(np.ones((r, 2 * n)), f)

@@ -22,7 +22,12 @@ from treeshap_hd.model import (
 )
 from treeshap_hd.synthetic import random_dataset, random_model
 
-from oracle_utils import route_row
+from oracle_utils import (
+    LEFT_CHAIN_SPLITS,
+    left_chain_predictions,
+    route_row,
+    write_lightgbm_left_chain,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -329,3 +334,16 @@ def test_lightgbm_zero_as_missing_rejected(tmp_path):
     # bits 2-3 of decision_type hold the missing type; 1 is Zero (here with default_left)
     with pytest.raises(UnsupportedFeatureError):
         load_lightgbm_text(_lightgbm_dump(tmp_path, decision_type=str((1 << 2) | 2)))
+
+
+def test_deep_chain_canonical_roundtrip(tmp_path):
+    # a 1,100-split chain: loading, predicting and saving walk it without recursion
+    model = load_lightgbm_text(write_lightgbm_left_chain(tmp_path / "chain.txt"))
+    assert model.trees[0].max_path_depth == LEFT_CHAIN_SPLITS
+    X = random_dataset(np.random.default_rng(0), 200, 2)
+    np.testing.assert_array_equal(model.predict(X), left_chain_predictions(X))
+    path = tmp_path / "chain.json"
+    save_canonical(model, path)
+    back = load_canonical(path)
+    assert back.trees[0].max_path_depth == LEFT_CHAIN_SPLITS
+    np.testing.assert_array_equal(back.predict(X), left_chain_predictions(X))
