@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -91,7 +92,35 @@ class BenchReport:
 
 
 def _load_csv(path):
-    """Read a headered CSV of finite reals; report the first offending cell."""
+    """Read a headered CSV of finite reals; report the first offending cell.
+
+    Every cell goes through ``float()`` in one stream into the array.  A file
+    that fails anywhere is read again by :func:`_load_csv_cells`, the only
+    code that words a diagnostic.
+    """
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+
+        def rows():
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError("row length differs from the header's")
+                yield row
+
+        X = None
+        if header:
+            try:
+                X = np.fromiter(map(float, chain.from_iterable(rows())), dtype=np.float64)
+            except ValueError:
+                pass
+    if X is None or not np.isfinite(X).all():
+        return _load_csv_cells(path)
+    return header, X.reshape(-1, len(header))
+
+
+def _load_csv_cells(path):
+    """Cell-by-cell reader: the first offending cell in row-major order."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -129,22 +158,22 @@ def _load_model(config: RunConfig):
     raise ValidationError(f"unknown model format {config.model_format!r}")
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
 def _write_values_csv(path, result, n_features, functional):
+    """One CSV row per consumer, every value with 17 significant digits.
+
+    Rows end in ``\\r\\n``, as ``csv.writer`` ends them; ``"%.17g" % v`` is
+    the same string as ``format(v, ".17g")`` for every float.
+    """
     interaction = functional == INTERACTION
     if interaction:
         cols = [f"phi_{i}_{j}" for i in range(n_features) for j in range(n_features)]
     else:
         cols = [f"phi_{i}" for i in range(n_features)]
+    values = result.values.reshape(len(result.values), len(cols))
+    row_format = "%d," + format(result.base_value, ".17g") + ",%.17g" * len(cols) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_id", "base_value"] + cols)
-        base = _fmt(result.base_value)
-        for row_id, row in enumerate(result.values):
-            writer.writerow([row_id, base] + [_fmt(v) for v in row.reshape(-1)])
+        fh.write(",".join(["row_id", "base_value"] + cols) + "\r\n")
+        fh.writelines(row_format % (row_id, *row.tolist()) for row_id, row in enumerate(values))
 
 
 def cmd_explain(config: RunConfig) -> int:

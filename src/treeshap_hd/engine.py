@@ -30,7 +30,6 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse
 
 from .cubes import (
     BANZHAF,
@@ -71,9 +70,10 @@ DENSE_BASELINE_CAP = 12  # explain_dense enumerates 3^k cube entries per leaf
 
 # Python objects a run allocates: generators, futures, and the tuples
 # the interpreter's free lists keep after the leaf loop discards them.
-# Measured at up to 113 KiB (20 depth-10 interaction trees, 2,801 leaves,
-# one row, path-dependent; 15 KiB in background mode).
-_INTERPRETER_BYTES = 128 << 10
+# Measured at up to 17 KiB (20 depth-10 interaction trees, 2,801 leaves,
+# one row, path-dependent; 12 KiB in background mode); the rest is margin
+# for how a thread pool's workers overlap.
+_INTERPRETER_BYTES = 64 << 10
 
 
 @dataclass
@@ -499,6 +499,8 @@ def brute_force_path_dependent(
 # ---------------------------------------------------------------------------
 
 def _sparse_tables(k: int, functional: str):
+    import scipy.sparse  # only the dense baseline needs scipy; the CLI starts without it
+
     cube_rows = map_patterns_to_cubes(range(k))
     rows, cols, cubes = [], [], []
     for pc, row in cube_rows.items():

@@ -188,5 +188,5 @@ def path_dependent_distribution(ratios) -> np.ndarray:
     """
     values = np.ones(1, dtype=np.float64)
     for r in ratios:
-        values = np.kron(values, np.array([1.0 - r, r]))
+        values = np.multiply.outer(values, (1.0 - r, r)).reshape(-1)
     return values

@@ -5,6 +5,7 @@ per-row traversal) and deliberately shares no algorithmic code with the
 package under test.
 """
 
+import csv
 import math
 from itertools import chain, combinations
 
@@ -148,3 +149,19 @@ def write_lightgbm_left_chain(path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
     return path
+
+
+def write_values_csv_reference(path, values, base_value, interaction):
+    """The CLI's values CSV written the plain way: ``csv.writer`` rows and one
+    ``format(v, ".17g")`` call per value."""
+    n_features = values.shape[1]
+    if interaction:
+        cols = [f"phi_{i}_{j}" for i in range(n_features) for j in range(n_features)]
+    else:
+        cols = [f"phi_{i}" for i in range(n_features)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["row_id", "base_value"] + cols)
+        base = format(base_value, ".17g")
+        for row_id, row in enumerate(values):
+            writer.writerow([row_id, base] + [format(v, ".17g") for v in row.reshape(-1)])

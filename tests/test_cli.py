@@ -1,16 +1,33 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import treeshap_hd
 import treeshap_hd.engine as engine_module
-from treeshap_hd.cli import RunConfig, cmd_bench, main
+from treeshap_hd.cli import (
+    RunConfig,
+    _load_csv,
+    _load_csv_cells,
+    _write_values_csv,
+    cmd_bench,
+    main,
+)
+from treeshap_hd.cubes import INTERACTION, SHAPLEY
+from treeshap_hd.engine import AttributionResult, ExplainRequest, explain
+from treeshap_hd.errors import ParseError, ValidationError
 from treeshap_hd.model import save_canonical
 from treeshap_hd.synthetic import random_dataset, random_model
 
-from oracle_utils import left_chain_predictions, write_lightgbm_left_chain
+from oracle_utils import (
+    left_chain_predictions,
+    write_lightgbm_left_chain,
+    write_values_csv_reference,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -88,6 +105,99 @@ def test_explain_nan_data_exits_2_and_names_cell(stump_setup, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "row 0" in err and "x1" in err
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("x0,x1\n1,2\n3\n", ValidationError, "row 1 has 1 cells, header has 2"),
+        ("x0,x1\n1,2\n\n3,4\n", ValidationError, "row 1 has 0 cells, header has 2"),
+        ("x0,x1\n1,2\n3,abc\n", ValidationError, "row 1, column x1: 'abc' is not a number"),
+        ("x0,x1\n1,nan\n", ValidationError, "row 0, column x1: NaN value"),
+        ("x0,x1\ninf,1\n", ValidationError, "row 0, column x0: non-finite value"),
+        ("x0,x1\n1,-inf\n", ValidationError, "row 0, column x1: non-finite value"),
+        # the first offending cell in row-major order names the error
+        ("x0,x1\n1,2\n3,nan\nx,4\n", ValidationError, "row 1, column x1: NaN value"),
+        ("", ParseError, "empty CSV"),
+    ],
+    ids=["ragged", "blank-line", "not-a-number", "nan", "inf", "-inf", "nan-before-word", "empty"],
+)
+def test_load_csv_diagnostics_match_per_cell_reader(tmp_path, text, error, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as fast:
+        _load_csv(path)
+    with pytest.raises(error) as per_cell:
+        _load_csv_cells(path)
+    assert str(fast.value) == str(per_cell.value) == f"{path}: {message}"
+
+
+def test_load_csv_header_only_has_no_rows(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("x0,x1,x2\r\n", encoding="utf-8")
+    header, X = _load_csv(path)
+    assert header == ["x0", "x1", "x2"] and X.shape == (0, 3)
+
+
+def test_load_csv_values_match_float_of_each_cell(tmp_path):
+    path = tmp_path / "d.csv"
+    X = random_dataset(np.random.default_rng(4), 5, 3)
+    lines = ['"1.5", 1.5,1_0', "-0,+4,1e-310"] + [",".join(map(repr, row)) for row in X.tolist()]
+    path.write_text("a,b,c\r\n" + "\r\n".join(lines) + "\r\n", encoding="utf-8")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        want = [[float(c) for c in row] for row in reader]
+    header, got = _load_csv(path)
+    assert header == ["a", "b", "c"]
+    np.testing.assert_array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+
+@pytest.mark.parametrize("n_rows", [0, 7])
+@pytest.mark.parametrize("functional", [SHAPLEY, INTERACTION])
+def test_values_csv_matches_csv_writer_bytes(tmp_path, functional, n_rows):
+    model = random_model(2, max_depth=5, n_features=4, n_trees=3, base_score=0.3)
+    rng = np.random.default_rng(2)
+    request = ExplainRequest(
+        model, random_dataset(rng, n_rows, 4), random_dataset(rng, 9, 4), "background", functional
+    )
+    result = explain(request)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    _write_values_csv(got, result, 4, functional)
+    write_values_csv_reference(want, result.values, result.base_value, functional == INTERACTION)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_values_csv_round_trips_edge_values(tmp_path):
+    special = [-0.0, 5e-324, 2.5e-310, 1e308, -1e308, 3.0, -7.0, 0.1, 1 / 3, 2.0**53]
+    values = np.array([special, special[::-1]])
+    result = AttributionResult(values, -0.0)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    _write_values_csv(got, result, len(special), SHAPLEY)
+    write_values_csv_reference(want, values, -0.0, False)
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().count(b"\r\n") == 3
+    table = np.loadtxt(got, delimiter=",", skiprows=1, ndmin=2)
+    np.testing.assert_array_equal(table[:, 2:].view(np.uint64), values.view(np.uint64))
+
+
+def _fresh_python(*args):
+    src = os.path.dirname(os.path.dirname(treeshap_hd.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=300)
+
+
+def test_cli_starts_without_scipy():
+    code = "import sys, treeshap_hd.cli; sys.exit(any(m.startswith('scipy') for m in sys.modules))"
+    assert _fresh_python("-c", code).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "argv", [["validate", "--trials", "2"], ["bench", "--method", "dense", "--depths", "4"]]
+)
+def test_dense_baseline_loads_scipy_on_first_use(argv):
+    proc = _fresh_python("-m", "treeshap_hd.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_explain_missing_background_exits_2(stump_setup, tmp_path):
