@@ -37,6 +37,7 @@ from .errors import (
     EmptyBackgroundError,
     FeatureIndexError,
     InvalidPairError,
+    LayoutError,
     LengthError,
     MissingCoverError,
     NaNInputError,

@@ -91,6 +91,17 @@ class BenchReport:
         return "\n".join(lines)
 
 
+def _utf8_lines(fh, path):
+    # a byte that is not UTF-8 is a parse error naming the file; as a bare
+    # UnicodeDecodeError (a ValueError) it would read as a bad cell
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+        ) from None
+
+
 def _load_csv(path):
     """Read a headered CSV of finite reals; report the first offending cell.
 
@@ -99,7 +110,7 @@ def _load_csv(path):
     code that words a diagnostic.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         header = next(reader, None)
 
         def rows():
@@ -122,7 +133,7 @@ def _load_csv(path):
 def _load_csv_cells(path):
     """Cell-by-cell reader: the first offending cell in row-major order."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         header = next(reader, None)
         if not header:
             raise ParseError(f"{path}: empty CSV")

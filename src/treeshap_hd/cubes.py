@@ -172,12 +172,6 @@ class DiagonalCache:
     depth: int
     levels: dict[int, np.ndarray]
 
-    def diagonal(self, k: int, position: int) -> np.ndarray:
-        return self.levels[k][position]
-
-    def pair_diagonal(self, k: int, j1: int, j2: int) -> np.ndarray:
-        return self.levels[k][pair_index(k, j1, j2)]
-
     @property
     def nbytes(self) -> int:
         return sum(arr.nbytes for arr in self.levels.values())
@@ -209,15 +203,18 @@ def build_diagonal_cache(
 
 
 def _diagonal_level(k: int, kind: str) -> np.ndarray:
-    rows = np.arange(1 << k, dtype=np.uint32)
-    n_pos = np.bitwise_count(rows).astype(np.int64)  # positives in the diagonal cube
+    # Position j's literal sign is bit s = k-1-j of the row index, so the
+    # (-1, 2, 2^s) view of a row splits it into the rows with the bit clear
+    # ([:, 0, :]) and set ([:, 1, :]).  Each row starts as the clear-bit
+    # values and copies the set-bit values over through that view.
     if kind == BANZHAF:
         out = np.empty((k, 1 << k), dtype=np.float64)
         magnitude = 2.0 ** (1 - k)
         for j in range(k):
-            bit = (rows >> np.uint32(k - 1 - j)) & 1
-            out[j] = np.where(bit == 1, magnitude, -magnitude)
+            out[j] = -magnitude
+            out[j].reshape(-1, 2, 1 << (k - 1 - j))[:, 1] = magnitude
         return out
+    n_pos = np.bitwise_count(np.arange(1 << k, dtype=np.uint32))  # positives in the diagonal cube
     if kind == SHAPLEY:
         # value depends only on the literal sign and p = popcount(row)
         pos_val = np.full(k + 1, np.nan)
@@ -227,10 +224,12 @@ def _diagonal_level(k: int, kind: str) -> np.ndarray:
                 pos_val[p] = _ratio(p - 1, k - p, k)
             if p <= k - 1:
                 neg_val[p] = -_ratio(p, k - p - 1, k)
+        pos, neg = pos_val[n_pos], neg_val[n_pos]
         out = np.empty((k, 1 << k), dtype=np.float64)
         for j in range(k):
-            bit = (rows >> np.uint32(k - 1 - j)) & 1
-            out[j] = np.where(bit == 1, pos_val[n_pos], neg_val[n_pos])
+            shape = (-1, 2, 1 << (k - 1 - j))
+            out[j] = neg
+            out[j].reshape(shape)[:, 1] = pos.reshape(shape)[:, 1]
         return out
     both_pos = np.full(k + 1, np.nan)
     both_neg = np.full(k + 1, np.nan)
@@ -242,14 +241,14 @@ def _diagonal_level(k: int, kind: str) -> np.ndarray:
             both_neg[p] = _ratio(p, k - p - 2, k - 1)
         if 1 <= p <= k - 1:
             mixed[p] = -_ratio(p - 1, k - p - 1, k - 1)
+    pos, neg, mix = both_pos[n_pos], both_neg[n_pos], mixed[n_pos]
     out = np.empty((k * (k - 1) // 2, 1 << k), dtype=np.float64)
     for j1, j2 in combinations(range(k), 2):
-        b1 = (rows >> np.uint32(k - 1 - j1)) & 1
-        b2 = (rows >> np.uint32(k - 1 - j2)) & 1
-        vals = np.where(
-            (b1 == 1) & (b2 == 1),
-            both_pos[n_pos],
-            np.where((b1 == 0) & (b2 == 0), both_neg[n_pos], mixed[n_pos]),
-        )
-        out[pair_index(k, j1, j2)] = vals
+        # bits s1 = k-1-j1 > s2 = k-1-j2 as axes 1 and 3 of a 5-axis view
+        shape = (-1, 2, 1 << (j2 - j1 - 1), 2, 1 << (k - 1 - j2))
+        row = out[pair_index(k, j1, j2)]
+        row[...] = mix
+        view = row.reshape(shape)
+        view[:, 1, :, 1] = pos.reshape(shape)[:, 1, :, 1]
+        view[:, 0, :, 0] = neg.reshape(shape)[:, 0, :, 0]
     return out

@@ -49,6 +49,10 @@ class LengthError(TreeShapHDError, ValueError):
     """Vector length is not a power of two, or operand lengths disagree."""
 
 
+class LayoutError(TreeShapHDError, ValueError):
+    """An array is not laid out in memory as an in-place kernel needs (C order)."""
+
+
 class SizeError(TreeShapHDError):
     """Requested dense object exceeds the dense-size budget."""
 

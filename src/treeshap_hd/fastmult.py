@@ -12,6 +12,14 @@ costing exactly k * 2^k additions plus 2^k multiplications for length 2^k.
 The transforms run along the last axis, so a block of r diagonals multiplies
 the same vector in one call, r times the work of one, and Python loops once
 per block instead of once per diagonal.
+
+Each zeta pass adds the lower half of every 2*bit-long run into its upper
+half through a (runs, 2, bit) view, and numpy's inner loop walks the last
+axis: bit doubles, or the runs when bit is 1.  For bit in {2, 4, 8} that
+loop would be 2 to 8 doubles long, so these passes view the data as
+complex128 pairs and put the runs axis innermost.  A complex add is two
+double adds, so the values, the order of the adds and their count are the
+same in both layouts.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import LengthError, SizeError, StructureError
+from .errors import LayoutError, LengthError, SizeError, StructureError
 
 
 class OpCounter:
@@ -57,12 +65,27 @@ def _require_power_of_two(n: int) -> None:
 def _zeta_inplace(v: np.ndarray) -> None:
     # along the last axis of a C-contiguous v: k passes, ascending bit
     # position, each doing v.size/2 additions; the (-1, 2, bit) view never
-    # pairs entries of different rows, as every row's length is a multiple of 2 * bit
+    # pairs entries of different rows, as every row's length is a multiple of
+    # 2 * bit.  For bit in {2, 4, 8}, complex entry i holds doubles 2i and
+    # 2i+1, so the pass pairs complex entries bit/2 apart; the transposed
+    # halves with order="C" keep numpy from moving the short axis innermost.
+    # Each pass is one np.add into the upper half's view (``+=`` on a view
+    # would also write it back onto itself), and every view is of v itself:
+    # on a copy the additions would be lost silently.
+    if not v.flags.c_contiguous:
+        raise LayoutError("the zeta transform needs a C-contiguous array")
+    flat = v.reshape(-1)
     half = v.size >> 1
     bit = 1
     while bit < v.shape[-1]:
-        w = v.reshape(-1, 2, bit)
-        w[:, 1, :] += w[:, 0, :]
+        if 2 <= bit <= 8:
+            c = flat.view(np.complex128).reshape(-1, 2, bit >> 1)
+            hi = c[:, 1].T
+            np.add(hi, c[:, 0].T, out=hi, order="C")
+        else:
+            w = flat.reshape(-1, 2, bit)
+            hi = w[:, 1]
+            np.add(hi, w[:, 0], out=hi)
         if _counter is not None:
             _counter.adds += half
         bit <<= 1
@@ -70,7 +93,7 @@ def _zeta_inplace(v: np.ndarray) -> None:
 
 def subset_zeta(v) -> np.ndarray:
     """Sum over bitwise subsets: out[x] = sum of v[x'] over x' subset of x."""
-    v = np.array(v, dtype=np.float64)
+    v = np.array(v, dtype=np.float64, order="C")
     _require_power_of_two(v.size)
     _zeta_inplace(v.reshape(-1))
     return v

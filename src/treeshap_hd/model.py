@@ -346,8 +346,11 @@ def load_lightgbm_text(path) -> EnsembleModel:
     splits, multiclass dumps (one tree per class and iteration), averaged
     output (random-forest mode), and splits that route zeros as missing.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a UTF-8 LightGBM dump: {exc}") from None
     blocks = _lgbm_blocks(text)
     if not blocks:
         raise ParseError("no Tree= blocks found in LightGBM dump")

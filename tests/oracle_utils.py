@@ -87,6 +87,29 @@ def zeta_naive(v):
     return out
 
 
+def zeta_reference(v):
+    """In-place subset-zeta along the last axis, one plain strided add per pass.
+
+    These are the additions the kernel must perform, operand for operand and
+    in this order, whatever layout it walks them in; compare bit for bit.
+    """
+    bit = 1
+    while bit < v.shape[-1]:
+        w = v.reshape(-1, 2, bit)
+        w[:, 1, :] += w[:, 0, :]
+        bit <<= 1
+    return v
+
+
+def diagonal_matvec_reference(diag, f):
+    """zeta(diag * zeta(f[::-1])) row by row, through :func:`zeta_reference`."""
+    g = np.empty(np.shape(diag))
+    g[...] = np.asarray(f, dtype=np.float64)[::-1]
+    zeta_reference(g)
+    g *= diag
+    return zeta_reference(g)
+
+
 def route_row(root, row):
     """Walk a tree with the canonical predicate conventions; return the leaf."""
     node = root

@@ -441,3 +441,33 @@ def test_subcommand_rejects_flags_it_ignores(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["data-first-row", "data-late-row", "background"])
+def test_non_utf8_csv_exits_2(stump_setup, tmp_path, capsys, where):
+    model, data, background = stump_setup
+    rows = b"0.2,0.3\n" * (5000 if where == "data-late-row" else 1)
+    bad = data if where.startswith("data") else background
+    bad.write_bytes(b"x0,x1\n" + rows + b"0.1,\xe9\n")
+    code = main([
+        "explain", "--model", str(model), "--data", str(data),
+        "--background", str(background), "--output", str(tmp_path / "o.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(bad) in err and "not UTF-8" in err and "0xe9" in err
+
+
+def test_non_utf8_lightgbm_dump_exits_2(tmp_path, capsys):
+    with open(os.path.join(FIXTURES, "lightgbm_model.txt"), "rb") as fh:
+        text = fh.read()
+    model = tmp_path / "model.txt"
+    model.write_bytes(text.replace(b"feature_names=", b"feature_names=\xe9", 1))
+    code = main([
+        "explain", "--model", str(model), "--model-format", "lightgbm_text",
+        "--data", os.path.join(FIXTURES, "lightgbm_rows.csv"),
+        "--mode", "path-dependent", "--output", str(tmp_path / "o.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(model) in err and "not a UTF-8" in err

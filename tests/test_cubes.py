@@ -220,18 +220,18 @@ def test_linearity_of_weighted_sums():
 
 def test_cache_depth_one_shapley():
     cache = build_diagonal_cache(1, SHAPLEY)
-    np.testing.assert_array_equal(cache.diagonal(1, 0), [-1.0, 1.0])
+    np.testing.assert_array_equal(cache.levels[1][0], [-1.0, 1.0])
 
 
 def test_cache_depth_two_shapley_row_three():
     cache = build_diagonal_cache(2, SHAPLEY)
-    assert cache.diagonal(2, 0)[0b11] == pytest.approx(0.5)
+    assert cache.levels[2][0][0b11] == pytest.approx(0.5)
 
 
 def test_cache_depth_two_banzhaf():
     cache = build_diagonal_cache(2, BANZHAF)
-    np.testing.assert_allclose(cache.diagonal(2, 0), [-0.5, -0.5, 0.5, 0.5])
-    np.testing.assert_allclose(cache.diagonal(2, 1), [-0.5, 0.5, -0.5, 0.5])
+    np.testing.assert_allclose(cache.levels[2][0], [-0.5, -0.5, 0.5, 0.5])
+    np.testing.assert_allclose(cache.levels[2][1], [-0.5, 0.5, -0.5, 0.5])
 
 
 @pytest.mark.parametrize("kind", [SHAPLEY, BANZHAF])
@@ -242,7 +242,7 @@ def test_cache_provenance_matches_per_cube_loop(kind):
         cubes = diagonal_cubes(k)
         for j in range(k):
             want = np.array([fn(cubes[a], j) for a in range(1 << k)])
-            np.testing.assert_array_equal(cache.diagonal(k, j), want)
+            np.testing.assert_array_equal(cache.levels[k][j], want)
 
 
 def test_interaction_cache_provenance():
@@ -251,7 +251,7 @@ def test_interaction_cache_provenance():
         cubes = diagonal_cubes(k)
         for j1, j2 in combinations(range(k), 2):
             want = np.array([cube_interaction(cubes[a], j1, j2) for a in range(1 << k)])
-            np.testing.assert_array_equal(cache.pair_diagonal(k, j1, j2), want)
+            np.testing.assert_array_equal(cache.levels[k][pair_index(k, j1, j2)], want)
 
 
 def test_pair_index_is_lexicographic():

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeshap_hd.cubes import SHAPLEY, build_diagonal_cache, cube_shapley, map_patterns_to_cubes
-from treeshap_hd.errors import LengthError, SizeError, StructureError
+from treeshap_hd.errors import LayoutError, LengthError, SizeError, StructureError
 from treeshap_hd.fastmult import (
+    _zeta_inplace,
     count_operations,
     dense_from_diagonal,
     diagonal_matvec,
@@ -13,7 +14,7 @@ from treeshap_hd.fastmult import (
     subset_zeta,
 )
 
-from oracle_utils import zeta_naive
+from oracle_utils import diagonal_matvec_reference, zeta_naive, zeta_reference
 
 
 def test_zeta_identity_on_singleton():
@@ -176,7 +177,7 @@ def test_reconstruction_matches_densified_cube_table():
             diag = dense[np.arange(n), n - 1 - np.arange(n)]
             np.testing.assert_allclose(dense_from_diagonal(diag), dense, atol=1e-12)
             cache = build_diagonal_cache(k, SHAPLEY)
-            np.testing.assert_array_equal(cache.diagonal(k, j), diag)
+            np.testing.assert_array_equal(cache.levels[k][j], diag)
 
 
 @pytest.mark.parametrize("k", range(1, 13))
@@ -196,3 +197,49 @@ def test_block_matvec_is_stacked_single_calls(k):
             diagonal_matvec(block, np.ones(2 * n))
         with pytest.raises(LengthError):
             diagonal_matvec(np.ones((r, 2 * n)), f)
+
+
+def _edge_values(rng, shape):
+    """Normal draws laced with -0.0, subnormals and a few values near +-1e308."""
+    x = rng.normal(size=shape)
+    flat = x.reshape(-1)
+    n = flat.size
+    flat[rng.random(n) < 0.1] = -0.0
+    sub = rng.random(n) < 0.1
+    flat[sub] = rng.integers(-1000, 1000, sub.sum()) * 5e-324
+    flat[rng.integers(0, n, 2)] = (1.7e308, -1.7e308)
+    return x
+
+
+def _signed_zeros_and_subnormals(rng, shape):
+    return rng.choice([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308], size=shape)
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_kernel_is_bit_identical_to_reference_passes(k):
+    # bit for bit, not allclose: the pass layout must not change one addition
+    rng = np.random.default_rng(200 + k)
+    n = 1 << k
+    for make in (_edge_values, _signed_zeros_and_subnormals):
+        v, f = make(rng, n), make(rng, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert subset_zeta(v).tobytes() == zeta_reference(v.copy()).tobytes()
+            for diag in (make(rng, n), make(rng, (3, n))):
+                want = diagonal_matvec_reference(diag, f)
+                assert diagonal_matvec(diag, f).tobytes() == want.tobytes()
+
+
+def test_zeta_rejects_a_layout_it_would_copy():
+    # reshape(-1) of a non-C-contiguous array is a copy: the passes would
+    # transform the copy and leave the caller's array as it was
+    v = np.arange(32.0).reshape(8, 4).T
+    with pytest.raises(LayoutError):
+        _zeta_inplace(v)
+    np.testing.assert_array_equal(v, np.arange(32.0).reshape(8, 4).T)
+    np.testing.assert_array_equal(subset_zeta(v), subset_zeta(np.ascontiguousarray(v)))
+    rng = np.random.default_rng(17)
+    strided = rng.normal(size=(3, 32))[:, ::2]
+    f = rng.normal(size=16)
+    assert np.array_equal(
+        diagonal_matvec(strided, f), diagonal_matvec(np.ascontiguousarray(strided), f)
+    )
