@@ -315,30 +315,28 @@ def cmd_bench(
 ) -> tuple[int, BenchReport]:
     """Time the full pipeline on deep-spine models at each depth.
 
-    Configurations whose projected peak memory (:func:`projected_peak_bytes`)
-    exceeds the budget, and dense runs past the baseline cap, are skipped with
-    a recorded reason instead of run.
+    Dense runs past the baseline cap (reason ``dense_cap``), and
+    configurations whose projected peak memory (:func:`projected_peak_bytes`)
+    exceeds the budget (reason ``budget``, with the ``projected_bytes``), are
+    skipped with a recorded reason instead of run.
     """
     report = BenchReport()
     budget = config.memory_budget_bytes
     for depth in sorted(depths):
         request = _bench_request(config, depth)
         for method in methods:
-            over_cap = method == "dense" and depth > DENSE_BASELINE_CAP
-            over_budget = budget is not None and (
-                projected_peak_bytes(request, dense=method == "dense") > budget
-            )
-            if over_cap or over_budget:
+            skip = None
+            if method == "dense" and depth > DENSE_BASELINE_CAP:
+                skip = {"reason": "dense_cap"}
+            elif budget is not None:
+                projected = projected_peak_bytes(request, dense=method == "dense")
+                if projected > budget:
+                    skip = {"reason": "budget", "projected_bytes": projected}
+            if skip is not None:
                 report.records.append(
-                    {
-                        "depth": depth,
-                        "method": method,
-                        "mode": config.mode,
-                        "skipped": True,
-                        "reason": "budget",
-                    }
+                    {"depth": depth, "method": method, "mode": config.mode, "skipped": True, **skip}
                 )
-                log.info("bench: skipping depth=%d method=%s (budget)", depth, method)
+                log.info("bench: skipping depth=%d method=%s (%s)", depth, method, skip["reason"])
                 continue
             rec = _bench_one(config, request, depth, method, repeats)
             report.records.append(rec)
@@ -414,7 +412,12 @@ def main(argv=None) -> int:
             return cmd_explain(config)
         if args.command == "validate":
             return cmd_validate(config, max_depth=args.max_depth, trials=args.trials)
-        depths = [int(d) for d in str(args.depths).split(",") if d.strip()]
+        try:
+            depths = [int(d) for d in str(args.depths).split(",") if d.strip()]
+        except ValueError:
+            raise ValidationError(
+                f"--depths takes comma-separated integers, got {args.depths!r}"
+            ) from None
         methods = ("hd", "dense") if args.method == "both" else (args.method,)
         code, _report = cmd_bench(config, depths, methods)
         return code

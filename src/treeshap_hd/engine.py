@@ -4,7 +4,8 @@ Per tree, one walk (:func:`iter_leaf_patterns`) yields each leaf's consumer
 patterns with its background patterns or cover ratios.  Per leaf, the loop
 (1) builds the leaf's distribution f (empirical counts or cover-ratio
 products), (2) multiplies the leaf's per-position value matrices by it with
-a kernel, a block of max(1, n >> k) matrices per call for n consumer rows,
+a kernel, a block of max(1, max(n, 2^K) >> k) matrices per call for n
+consumer rows and K the model's largest k,
 and (3) gathers each consumer's entry of each product by its own pattern,
 scaled by the leaf weight.  The all-ones entry of f is the share of background
 rows (or of cover) that reaches the leaf, so the leaf adds weight x f[-1] to
@@ -241,6 +242,11 @@ def _leaf_loop(request, model, X, B, kernel, *, depth_cap, threads, stats):
     """
     F = model.n_features
     n = X.shape[0]
+    # a block holds at most max(n, 2^k_max) entries, as projected_peak_bytes
+    # counts: one gathered row, or f of the deepest leaf.  Leaves below k_max
+    # then take several rows per call, so Python and numpy call costs do not
+    # swamp their few additions
+    span = max(n, 1 << max((t.max_unique_features for t in model.trees), default=0))
     interaction = request.functional == INTERACTION
     shape = (n, F, F) if interaction else (n, F)
     bg_bytes = B.shape[0] * 4 if B is not None else 0
@@ -264,8 +270,7 @@ def _leaf_loop(request, model, X, B, kernel, *, depth_cap, threads, stats):
                 continue  # constant leaf: contributes to the base value only
             main, shap, entries, pairs = kernel.tables[k]
             pc = item.patterns
-            # a block holds at most max(n, 2^k) entries: one gathered row or one f
-            block = max(1, n >> k)
+            block = max(1, span >> k)
             if held is not None:
                 block_bytes = min(block, max(k, len(main))) * f.nbytes
                 # f and its counts, the block, and the zeta passes' copy of

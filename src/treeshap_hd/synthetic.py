@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
 from .model import DecisionTree, EnsembleModel, Leaf, SplitNode
 
 
@@ -111,6 +112,8 @@ def deep_path_model(depth: int, seed: int = 0) -> EnsembleModel:
     every spine node, so the deepest leaves exercise all D unique features
     while the leaf count stays D+1 (depth scaling is then driven by the
     per-leaf kernel, not by leaf proliferation)."""
+    if depth < 0:
+        raise ValidationError(f"depth must be >= 0, got {depth}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(depth)
 

@@ -11,6 +11,7 @@ import treeshap_hd
 import treeshap_hd.engine as engine_module
 from treeshap_hd.cli import (
     RunConfig,
+    _bench_request,
     _load_csv,
     _load_csv_cells,
     _write_values_csv,
@@ -18,10 +19,10 @@ from treeshap_hd.cli import (
     main,
 )
 from treeshap_hd.cubes import INTERACTION, SHAPLEY
-from treeshap_hd.engine import AttributionResult, ExplainRequest, explain
+from treeshap_hd.engine import AttributionResult, ExplainRequest, explain, projected_peak_bytes
 from treeshap_hd.errors import ParseError, ValidationError
 from treeshap_hd.model import save_canonical
-from treeshap_hd.synthetic import random_dataset, random_model
+from treeshap_hd.synthetic import deep_path_model, random_dataset, random_model
 
 from oracle_utils import (
     left_chain_predictions,
@@ -356,14 +357,31 @@ def test_bench_skips_dense_beyond_cap(tmp_path):
     code, report = cmd_bench(config, depths=[13], methods=("dense",))
     assert code == 0
     assert report.records == [
-        {"depth": 13, "method": "dense", "mode": "background", "skipped": True, "reason": "budget"}
+        {"depth": 13, "method": "dense", "mode": "background", "skipped": True, "reason": "dense_cap"}
     ]
 
 
 def test_bench_skips_when_budget_too_small():
     config = RunConfig(seed=0, memory_budget_bytes=1024)
     code, report = cmd_bench(config, depths=[8], methods=("hd",))
-    assert report.records[0]["skipped"] and report.records[0]["reason"] == "budget"
+    rec = report.records[0]
+    assert rec["skipped"] and rec["reason"] == "budget"
+    assert rec["projected_bytes"] == projected_peak_bytes(_bench_request(config, 8)) > 1024
+
+
+@pytest.mark.parametrize(
+    "depths, words", [("x", "--depths takes comma-separated integers"), ("-1", "depth must be >= 0")]
+)
+def test_bench_bad_depths_exit_2(capsys, depths, words):
+    assert main(["bench", "--depths", depths]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and words in err
+
+
+def test_deep_path_model_rejects_negative_depth():
+    with pytest.raises(ValidationError):
+        deep_path_model(-1)
+    assert deep_path_model(0).n_features == 0  # a lone leaf is still a model
 
 
 def test_bad_model_path_exits_2(tmp_path):

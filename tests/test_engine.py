@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from treeshap_hd.errors import (
     TreeShapHDError,
 )
 from treeshap_hd.model import DecisionTree, EnsembleModel, Leaf, SplitNode
-from treeshap_hd.synthetic import random_dataset, random_model
+from treeshap_hd.synthetic import deep_path_model, random_dataset, random_model
 
 ALL_FUNCTIONALS = (SHAPLEY, BANZHAF, INTERACTION)
 
@@ -195,8 +196,9 @@ def test_determinism_and_thread_count_invariance():
 @pytest.mark.parametrize("mode", (BACKGROUND, PATH_DEPENDENT))
 @pytest.mark.parametrize("functional", ALL_FUNCTIONALS)
 def test_values_do_not_depend_on_block_size(functional, mode):
-    # a leaf's rows are multiplied in blocks of max(1, n >> k): with 4 rows a
-    # block is one row from k = 2 up, with 1000 rows a depth-8 leaf takes 3
+    # a leaf's rows are multiplied in blocks of max(1, max(n, 2^8) >> k) here:
+    # with 4 rows a depth-4 leaf takes all 4 rows in one call, with 1000 rows
+    # a depth-8 leaf takes 3 a call
     model = random_model(7, max_depth=8, n_features=20, n_trees=3)
     rng = np.random.default_rng(7)
     X = random_dataset(rng, 1000, 20)
@@ -206,6 +208,24 @@ def test_values_do_not_depend_on_block_size(functional, mode):
     few = explain(ExplainRequest(model, X[:4], B, mode, functional))
     assert np.array_equal(few.values, many.values[:4])
     assert few.base_value == many.base_value
+
+
+def test_blocks_fill_the_projected_span(monkeypatch):
+    # a block holds up to max(n, 2^K) entries, the span projected_peak_bytes
+    # counts, so the shallow leaves of a deep model take their rows at once
+    model = deep_path_model(10, 0)
+    X = random_dataset(np.random.default_rng(3), 4, 10)
+    shapes = []
+    real = engine_module.diagonal_matvec
+    monkeypatch.setattr(
+        engine_module, "diagonal_matvec", lambda d, f: shapes.append(d.shape) or real(d, f)
+    )
+    explain(ExplainRequest(model, X, None, PATH_DEPENDENT, SHAPLEY))
+    # leaves k = 1..7 in one call each, k = 8 in blocks of 4, k = 9 of 2, and
+    # the two k = 10 leaves one row a call
+    want = Counter({(k, 1 << k): 1 for k in range(1, 8)})
+    want.update({(4, 256): 2, (2, 512): 4, (1, 512): 1, (1, 1024): 20})
+    assert Counter(shapes) == want
 
 
 def test_background_required():

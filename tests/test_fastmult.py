@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from treeshap_hd.cubes import SHAPLEY, build_diagonal_cache, cube_shapley, map_patterns_to_cubes
 from treeshap_hd.errors import LayoutError, LengthError, SizeError, StructureError
 from treeshap_hd.fastmult import (
+    _BUFSIZE,
+    _long_transforms,
     _zeta_inplace,
     count_operations,
     dense_from_diagonal,
@@ -215,18 +219,25 @@ def _signed_zeros_and_subnormals(rng, shape):
     return rng.choice([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308], size=shape)
 
 
-@pytest.mark.parametrize("k", range(1, 21))
+@pytest.mark.parametrize("k", range(1, 22))
 def test_kernel_is_bit_identical_to_reference_passes(k):
-    # bit for bit, not allclose: the pass layout must not change one addition
+    # bit for bit, not allclose: neither the pass layout, nor the buffering,
+    # nor the chunked order of long rows (k > 16) may change one addition
     rng = np.random.default_rng(200 + k)
     n = 1 << k
     for make in (_edge_values, _signed_zeros_and_subnormals):
         v, f = make(rng, n), make(rng, n)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert subset_zeta(v).tobytes() == zeta_reference(v.copy()).tobytes()
-            for diag in (make(rng, n), make(rng, (3, n))):
-                want = diagonal_matvec_reference(diag, f)
-                assert diagonal_matvec(diag, f).tobytes() == want.tobytes()
+            with count_operations() as ops:
+                got = subset_zeta(v)
+            assert got.tobytes() == zeta_reference(v.copy()).tobytes()
+            assert (ops.adds, ops.muls) == (k * n // 2, 0)
+            for shape in (n, (1, n), (2, n), (3, n)):
+                diag = make(rng, shape)
+                with count_operations() as ops:
+                    got = diagonal_matvec(diag, f)
+                assert got.tobytes() == diagonal_matvec_reference(diag, f).tobytes()
+                assert (ops.adds, ops.muls) == (k * diag.size, diag.size)
 
 
 def test_zeta_rejects_a_layout_it_would_copy():
@@ -243,3 +254,37 @@ def test_zeta_rejects_a_layout_it_would_copy():
     assert np.array_equal(
         diagonal_matvec(strided, f), diagonal_matvec(np.ascontiguousarray(strided), f)
     )
+
+
+def test_kernel_leaves_the_ufunc_buffer_size_alone():
+    # long rows run their passes with numpy's buffer cut down; the setting is
+    # scoped, so a caller's own buffer size holds after every kind of exit
+    rng = np.random.default_rng(18)
+    seen = []
+    with np.errstate():
+        np.setbufsize(4096)
+        for k in (12, 17):
+            diagonal_matvec(rng.normal(size=(2, 1 << k)), rng.normal(size=1 << k))
+            assert np.getbufsize() == 4096
+        _long_transforms(np.zeros(1 << 17), [lambda i, cols: seen.append(np.getbufsize())])
+        assert np.getbufsize() == 4096 and seen == [_BUFSIZE, _BUFSIZE]
+        with pytest.raises(LayoutError):
+            _zeta_inplace(np.zeros((1 << 13, 2)).T)
+        assert np.getbufsize() == 4096
+
+        def fail(i, cols):
+            raise RuntimeError("inside the unbuffered passes")
+
+        with pytest.raises(RuntimeError):
+            _long_transforms(np.zeros(1 << 17), [fail])
+        assert np.getbufsize() == 4096
+
+    def in_worker(seed):
+        before = np.getbufsize()
+        diagonal_matvec(np.random.default_rng(seed).normal(size=1 << 17), np.ones(1 << 17))
+        return before, np.getbufsize()
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for before, after in pool.map(in_worker, range(4)):
+            assert after == before
+    assert np.getbufsize() == 8192  # numpy's default, outside every scope
