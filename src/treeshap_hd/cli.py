@@ -284,21 +284,24 @@ def _bench_request(config: RunConfig, depth: int) -> ExplainRequest:
     return ExplainRequest(model, consumers, background, config.mode, config.functional)
 
 
-def _bench_record(config: RunConfig, request, depth: int, method: str) -> dict:
-    # one timed run; peak: hd, tables plus the largest leaf working set;
-    # dense, tables plus three 2^depth vectors
-    stats = ExplainStats()
-    with count_operations() as ops:
-        start = time.perf_counter()
-        if method == "hd":
-            explain(request, depth_cap=config.depth_cap, stats=stats)
-        else:
-            explain_dense(request, depth_cap=DENSE_BASELINE_CAP, stats=stats)
-        elapsed = time.perf_counter() - start
+def _bench_one(config: RunConfig, request, depth: int, method: str, repeats: int):
+    best = None
+    for _ in range(max(repeats, 1)):
+        stats = ExplainStats()
+        with count_operations() as ops:
+            start = time.perf_counter()
+            if method == "hd":
+                explain(request, depth_cap=config.depth_cap, stats=stats)
+            else:
+                explain_dense(request, depth_cap=DENSE_BASELINE_CAP, stats=stats)
+            elapsed = time.perf_counter() - start
+        if best is None or elapsed < best:
+            best = elapsed
+    # hd: tables plus the largest leaf working set; dense: tables plus three 2^depth vectors
     peak = stats.table_bytes + (stats.peak_bytes if method == "hd" else 3 * 8 * (1 << depth))
     return {
         "depth": depth,
-        "wall_time_seconds": elapsed,
+        "wall_time_seconds": best,
         "peak_bytes": int(peak),
         "adds": int(ops.adds),
         "muls": int(ops.muls),
@@ -312,12 +315,6 @@ def cmd_bench(
 ) -> tuple[int, BenchReport]:
     """Time the full pipeline on deep-spine models at each depth.
 
-    A configuration's time is the fastest of ``repeats`` runs, taken in
-    rounds: each round runs every configuration once, in depth order.  The
-    host's speed can shift for seconds at a time, and back-to-back repeats
-    would put all of one depth's runs in the same phase; interleaved, a slow
-    phase costs every depth one round, so ratios between depths hold.
-
     Dense runs past the baseline cap (reason ``dense_cap``), and
     configurations whose projected peak memory (:func:`projected_peak_bytes`)
     exceeds the budget (reason ``budget``, with the ``projected_bytes``), are
@@ -325,7 +322,6 @@ def cmd_bench(
     """
     report = BenchReport()
     budget = config.memory_budget_bytes
-    timed = []  # (index into report.records, depth, method, request) of each run
     for depth in sorted(depths):
         request = _bench_request(config, depth)
         for method in methods:
@@ -342,17 +338,9 @@ def cmd_bench(
                 )
                 log.info("bench: skipping depth=%d method=%s (%s)", depth, method, skip["reason"])
                 continue
-            timed.append((len(report.records), depth, method, request))
-            report.records.append(None)
-    for _ in range(max(repeats, 1)):
-        for i, depth, method, request in timed:
-            rec, best = _bench_record(config, request, depth, method), report.records[i]
-            if best is not None:
-                rec["wall_time_seconds"] = min(rec["wall_time_seconds"], best["wall_time_seconds"])
-            report.records[i] = rec
-    for i, depth, method, _ in timed:
-        seconds = report.records[i]["wall_time_seconds"]
-        log.info("bench: depth=%d method=%s %.4fs", depth, method, seconds)
+            rec = _bench_one(config, request, depth, method, repeats)
+            report.records.append(rec)
+            log.info("bench: depth=%d method=%s %.4fs", depth, method, rec["wall_time_seconds"])
     if config.output_path:
         report.write(config.output_path)
     print(report.summary())

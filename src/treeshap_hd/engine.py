@@ -145,6 +145,17 @@ def _max_unique_features(model: EnsembleModel, depth_cap: int) -> int:
     return k_max
 
 
+def _block_span(n: int, k_max: int) -> int:
+    """Entries in the leaf loop's largest block of products, for n consumer rows.
+
+    A leaf with k features multiplies max(1, span >> k) matrices per kernel
+    call: a block holds one gathered row, or f of the deepest leaf, so the
+    shallow leaves of a deep model take several rows per call and Python and
+    numpy call costs do not swamp their few additions.
+    """
+    return max(n, 1 << k_max)
+
+
 def projected_peak_bytes(
     request: ExplainRequest, *, threads: int = 1, dense: bool = False
 ) -> int:
@@ -181,7 +192,7 @@ def projected_peak_bytes(
     # block of products, at most max(n, 2^k_max) entries, with the zeta
     # passes' copy of up to 1.5 blocks; two gathered rows; per dataset,
     # depth + 1 live pattern vectors and a split's temporaries
-    block = max(n, 1 << k_max)
+    block = _block_span(n, k_max)
     worker = (48 << k_max) + 20 * block + 16 * n + 4 * (depth + 3) * (n + m)
     workers = max(1, min(threads, n_trees))
     F = model.n_features
@@ -242,11 +253,7 @@ def _leaf_loop(request, model, X, B, kernel, *, depth_cap, threads, stats):
     """
     F = model.n_features
     n = X.shape[0]
-    # a block holds at most max(n, 2^k_max) entries, as projected_peak_bytes
-    # counts: one gathered row, or f of the deepest leaf.  Leaves below k_max
-    # then take several rows per call, so Python and numpy call costs do not
-    # swamp their few additions
-    span = max(n, 1 << max((t.max_unique_features for t in model.trees), default=0))
+    span = _block_span(n, max(kernel.tables, default=0))
     interaction = request.functional == INTERACTION
     shape = (n, F, F) if interaction else (n, F)
     bg_bytes = B.shape[0] * 4 if B is not None else 0

@@ -15,28 +15,27 @@ per block instead of once per diagonal.
 
 Each zeta pass adds the lower half of every 2*bit-long run into its upper
 half through a (runs, 2, bit) view, and numpy's inner loop walks the last
-axis: bit doubles, or the runs when bit is 1.  For bit in {2, 4, 8} that
-loop would be 2 to 8 doubles long, so these passes view the data as
+axis: bit doubles, or the runs when bit is 1.  For bit in {2, ..., 16} that
+loop would be 2 to 16 doubles long, so these passes view the data as
 complex128 pairs and put the runs axis innermost.  A complex add is two
 double adds, so the values, the order of the adds and their count are the
 same in both layouts.
 
-Rows of 2^9 doubles or more take a long-row path.  Its passes run with
-numpy's ufunc buffer cut to 64 elements (``np.setbufsize`` inside
-``np.errstate``, which restores it): otherwise numpy copies both halves of
-the passes with 16 <= bit < ~2,730 through its buffer, which makes them up
-to 3.5x slower.  Without the buffer, the bit-16 pass is faster as complex
-pairs too.  A row that fits in one chunk has its pass views built once for
-both transforms of a multiply, which matters where per-call costs do.  Rows longer than 2^16 doubles (512 KiB) no longer fit in L2 with
-their operands, so their passes go in cache-sized order: every pass with
-bit < 2^16 on one 2^16-double chunk of a row, chunk after chunk, then the
-passes with larger bits over the whole block; a block of shorter rows goes
-through its low passes 2^16 doubles of whole rows at a time.
-``diagonal_matvec`` fills each chunk from f, or multiplies it by its chunk
-of the diagonal, just before that chunk's low passes.  No low pass reaches
-outside its chunk, so
-every entry still gets the same additions of the same operands in the same
-order, and the bits and op counts are those of the plain pass-by-pass order.
+The passes run with numpy's ufunc buffer cut to 64 elements
+(``np.setbufsize`` inside ``np.errstate``, which restores it): otherwise
+numpy copies both halves of the passes with 16 <= bit < ~2,730 through its
+buffer, which makes them up to 3.5x slower.  A block that fits in one chunk
+(2^16 doubles, 512 KiB) has its pass views built once for both transforms of
+a multiply, which matters where per-call costs do.  Rows longer than one
+chunk no longer fit in L2 with their operands, so their passes go in
+cache-sized order: every pass with bit < 2^16 on one chunk of a row, chunk
+after chunk, then the passes with larger bits over the whole block; a block
+of shorter rows goes through its passes 2^16 doubles of whole rows at a
+time.  ``diagonal_matvec`` fills each chunk from f, or multiplies it by its
+chunk of the diagonal, just before that chunk's low passes.  No low pass
+reaches outside its chunk, so every entry still gets the same additions of
+the same operands in the same order, and the bits and op counts are those
+of the plain pass-by-pass order.
 """
 
 from __future__ import annotations
@@ -79,24 +78,25 @@ def _require_power_of_two(n: int) -> None:
         raise LengthError(f"length must be a power of two, got {n}")
 
 
-# Row lengths, in doubles, from which the long-row path and, past one 512 KiB
-# chunk (a quarter of a 2 MiB L2), its chunked order apply (see the module
-# docstring); the long-row passes run with numpy's ufunc buffer at _BUFSIZE.
-_LONG_ROW = 1 << 9
+# The passes run with numpy's ufunc buffer at _BUFSIZE elements, and rows
+# longer than _CHUNK doubles (512 KiB, a quarter of a 2 MiB L2) take their low
+# passes chunk by chunk (see the module docstring).
 _BUFSIZE = 64
 _CHUNK = 1 << 16
 
 
 def _pass_views(flat: np.ndarray, lo: int, hi: int) -> tuple:
-    # long rows: the upper and lower views of flat and the iteration order of
-    # each pass lo <= bit < hi (complex pairs for bit 2 to 16), and the adds
-    # of one pass
-    c = flat.view(np.complex128)
+    # the upper and lower views of flat and the iteration order of each pass
+    # lo <= bit < hi, and the adds of one pass.  For bit in 2..16, complex
+    # entry i holds doubles 2i and 2i+1, so the pass pairs complex entries
+    # bit/2 apart; the transposed halves with order="C" keep numpy from
+    # moving the short axis innermost.  The (-1, 2, bit) views never pair
+    # entries of different rows, as every row's length is a multiple of 2*bit.
     uppers, lowers, orders = [], [], []
     bit = lo
     while bit < hi:
         if 2 <= bit <= 16:
-            w = c.reshape(-1, 2, bit >> 1)
+            w = flat.view(np.complex128).reshape(-1, 2, bit >> 1)
             uppers.append(w[:, 1].T)
             lowers.append(w[:, 0].T)
             orders.append("C")
@@ -110,24 +110,27 @@ def _pass_views(flat: np.ndarray, lo: int, hi: int) -> tuple:
 
 
 def _run(uppers, lowers, orders, adds: int) -> None:
+    # each pass is one np.add into the upper half's view (``+=`` on a view
+    # would also write it back onto itself)
     for h, l, order in zip(uppers, lowers, orders):
         np.add(h, l, out=h, order=order)
     if _counter is not None:
         _counter.adds += adds * len(uppers)
 
 
-def _long_transforms(v: np.ndarray, prepares) -> None:
-    # one zeta transform of a C-contiguous v with rows of n >= _LONG_ROW
-    # doubles per entry of prepares, in pieces of at most _CHUNK doubles that
-    # never straddle two rows: part of a row when n > _CHUNK, else whole
-    # rows.  Each piece gets its passes with bit < _CHUNK in turn, then the
-    # passes with bit >= _CHUNK run over the whole block: each entry still
-    # takes the same additions in the same order, as no low pass reaches
-    # outside its piece.  A prepare that is not None is called as
-    # prepare(rows, cols) right before the low passes of piece v2[rows, cols]
-    # of the (rows, n) view v2.  A piece's views are built as it comes, so
-    # few view objects are alive at once; a block that is one piece builds
-    # them once for every transform.
+def _transforms(v: np.ndarray, prepares) -> None:
+    # one zeta transform of the C-contiguous v along its last axis, n doubles,
+    # per entry of prepares, in pieces of at most _CHUNK doubles that never
+    # straddle two rows: part of a row when n > _CHUNK, else whole rows.
+    # Each piece gets its passes with bit < _CHUNK in turn, then the passes
+    # with bit >= _CHUNK run over the whole block: each entry still takes the
+    # same additions in the same order, as no low pass reaches outside its
+    # piece.  A prepare that is not None is called as prepare(rows, cols)
+    # right before the low passes of piece v2[rows, cols] of the (rows, n)
+    # view v2.  A piece's views are built as it comes, so few view objects
+    # are alive at once; a block that is one piece builds them once for every
+    # transform.  Every view is of v itself: on a copy the additions would be
+    # lost silently.
     n = v.shape[-1]
     flat = v.reshape(-1)
     v2 = flat.reshape(-1, n)
@@ -153,34 +156,10 @@ def _long_transforms(v: np.ndarray, prepares) -> None:
 
 def _zeta_inplace(v: np.ndarray) -> None:
     # along the last axis of a C-contiguous v: k passes, ascending bit
-    # position, each doing v.size/2 additions; the (-1, 2, bit) view never
-    # pairs entries of different rows, as every row's length is a multiple of
-    # 2 * bit.  For bit in {2, 4, 8}, complex entry i holds doubles 2i and
-    # 2i+1, so the pass pairs complex entries bit/2 apart; the transposed
-    # halves with order="C" keep numpy from moving the short axis innermost.
-    # Each pass is one np.add into the upper half's view (``+=`` on a view
-    # would also write it back onto itself), and every view is of v itself:
-    # on a copy the additions would be lost silently.
+    # position, each doing v.size/2 additions
     if not v.flags.c_contiguous:
         raise LayoutError("the zeta transform needs a C-contiguous array")
-    if v.shape[-1] >= _LONG_ROW:
-        _long_transforms(v, (None,))
-        return
-    flat = v.reshape(-1)
-    half = v.size >> 1
-    bit = 1
-    while bit < v.shape[-1]:
-        if 2 <= bit <= 8:
-            c = flat.view(np.complex128).reshape(-1, 2, bit >> 1)
-            hi = c[:, 1].T
-            np.add(hi, c[:, 0].T, out=hi, order="C")
-        else:
-            w = flat.reshape(-1, 2, bit)
-            hi = w[:, 1]
-            np.add(hi, w[:, 0], out=hi)
-        if _counter is not None:
-            _counter.adds += half
-        bit <<= 1
+    _transforms(v, (None,))
 
 
 def subset_zeta(v) -> np.ndarray:
@@ -213,14 +192,8 @@ def diagonal_matvec(diag, f) -> np.ndarray:
     g = np.empty(diag.shape)
     if _counter is not None:
         _counter.muls += diag.size
-    if n < _LONG_ROW:
-        g[...] = f[::-1]  # g[a] = f[~a], in every row
-        _zeta_inplace(g)
-        g *= diag
-        _zeta_inplace(g)
-        return g
-    # each piece is filled, or multiplied by its piece of the diagonal, right
-    # before its low passes, while it is in cache
+    # g[a] = f[~a] in every row; each piece is filled, or multiplied by its
+    # piece of the diagonal, right before its low passes, while it is in cache
     rev, g2, d2 = f[::-1], g.reshape(-1, n), diag.reshape(-1, n)
 
     def fill(rows, cols):
@@ -230,7 +203,7 @@ def diagonal_matvec(diag, f) -> np.ndarray:
         piece = g2[rows, cols]
         np.multiply(piece, d2[rows, cols], out=piece)
 
-    _long_transforms(g, (fill, scale))
+    _transforms(g, (fill, scale))
     return g
 
 

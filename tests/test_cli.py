@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -351,35 +350,6 @@ def test_bench_writes_report_and_counters_are_deterministic(tmp_path):
         assert a["peak_bytes"] == b["peak_bytes"]
         assert a["adds"] >= 0 and a["muls"] >= 0
         assert a["wall_time_seconds"] > 0
-
-
-def test_bench_runs_repeats_in_rounds_and_keeps_the_fastest(monkeypatch):
-    import treeshap_hd.cli as cli_module
-
-    calls = []
-    real = {"hd": cli_module.explain, "dense": cli_module.explain_dense}
-    for method, name in (("hd", "explain"), ("dense", "explain_dense")):
-        def spy(request, *, _method=method, **kwargs):
-            calls.append((request.model.n_features, _method))
-            return real[_method](request, **kwargs)
-        monkeypatch.setattr(cli_module, name, spy)
-    # each run reads the clock twice; run i takes seconds[i]
-    seconds = iter([3.0, 1.0, 5.0, 6.0, 2.0, 4.0, 7.0, 0.5])
-    clock = {"now": 0.0, "started": False}
-
-    def perf_counter():
-        if clock["started"]:
-            clock["now"] += next(seconds)
-        clock["started"] = not clock["started"]
-        return clock["now"]
-
-    monkeypatch.setattr(cli_module, "time", SimpleNamespace(perf_counter=perf_counter))
-    code, report = cmd_bench(RunConfig(seed=0), depths=[5, 4], methods=("hd", "dense"), repeats=2)
-    assert code == 0
-    rounds = [(4, "hd"), (4, "dense"), (5, "hd"), (5, "dense")]
-    assert calls == rounds + rounds
-    assert [(r["depth"], r["method"]) for r in report.records] == rounds
-    assert [r["wall_time_seconds"] for r in report.records] == [2.0, 1.0, 5.0, 0.5]
 
 
 def test_bench_skips_dense_beyond_cap(tmp_path):

@@ -9,7 +9,7 @@ from treeshap_hd.cubes import SHAPLEY, build_diagonal_cache, cube_shapley, map_p
 from treeshap_hd.errors import LayoutError, LengthError, SizeError, StructureError
 from treeshap_hd.fastmult import (
     _BUFSIZE,
-    _long_transforms,
+    _transforms,
     _zeta_inplace,
     count_operations,
     dense_from_diagonal,
@@ -257,7 +257,7 @@ def test_zeta_rejects_a_layout_it_would_copy():
 
 
 def test_kernel_leaves_the_ufunc_buffer_size_alone():
-    # long rows run their passes with numpy's buffer cut down; the setting is
+    # the passes run with numpy's buffer cut down; the setting is
     # scoped, so a caller's own buffer size holds after every kind of exit
     rng = np.random.default_rng(18)
     seen = []
@@ -266,7 +266,7 @@ def test_kernel_leaves_the_ufunc_buffer_size_alone():
         for k in (12, 17):
             diagonal_matvec(rng.normal(size=(2, 1 << k)), rng.normal(size=1 << k))
             assert np.getbufsize() == 4096
-        _long_transforms(np.zeros(1 << 17), [lambda i, cols: seen.append(np.getbufsize())])
+        _transforms(np.zeros(1 << 17), [lambda i, cols: seen.append(np.getbufsize())])
         assert np.getbufsize() == 4096 and seen == [_BUFSIZE, _BUFSIZE]
         with pytest.raises(LayoutError):
             _zeta_inplace(np.zeros((1 << 13, 2)).T)
@@ -276,7 +276,7 @@ def test_kernel_leaves_the_ufunc_buffer_size_alone():
             raise RuntimeError("inside the unbuffered passes")
 
         with pytest.raises(RuntimeError):
-            _long_transforms(np.zeros(1 << 17), [fail])
+            _transforms(np.zeros(1 << 17), [fail])
         assert np.getbufsize() == 4096
 
     def in_worker(seed):
