@@ -21,10 +21,11 @@ complex128 pairs and put the runs axis innermost.  A complex add is two
 double adds, so the values, the order of the adds and their count are the
 same in both layouts.
 
-The passes run with numpy's ufunc buffer cut to 64 elements
-(``np.setbufsize`` inside ``np.errstate``, which restores it): otherwise
-numpy copies both halves of the passes with 16 <= bit < ~2,730 through its
-buffer, which makes them up to 3.5x slower.  A block that fits in one chunk
+Blocks of 2^12 doubles or more run their passes with numpy's ufunc buffer
+cut to 64 elements (``np.setbufsize`` inside ``np.errstate``, which restores
+it): otherwise numpy copies both halves of the passes with 16 <= bit < ~2,730
+through its buffer, which makes them up to 3.5x slower.  On smaller blocks
+the scope costs more than those copies.  A block that fits in one chunk
 (2^16 doubles, 512 KiB) has its pass views built once for both transforms of
 a multiply, which matters where per-call costs do.  Rows longer than one
 chunk no longer fit in L2 with their operands, so their passes go in
@@ -40,7 +41,7 @@ of the plain pass-by-pass order.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -78,9 +79,11 @@ def _require_power_of_two(n: int) -> None:
         raise LengthError(f"length must be a power of two, got {n}")
 
 
-# The passes run with numpy's ufunc buffer at _BUFSIZE elements, and rows
-# longer than _CHUNK doubles (512 KiB, a quarter of a 2 MiB L2) take their low
-# passes chunk by chunk (see the module docstring).
+# Blocks of _UNBUFFERED doubles or more run their passes with numpy's ufunc
+# buffer at _BUFSIZE elements, and rows longer than _CHUNK doubles (512 KiB, a
+# quarter of a 2 MiB L2) take their low passes chunk by chunk (see the module
+# docstring).
+_UNBUFFERED = 1 << 12
 _BUFSIZE = 64
 _CHUNK = 1 << 16
 
@@ -141,17 +144,21 @@ def _transforms(v: np.ndarray, prepares) -> None:
         pieces = [(slice(i, i + step), slice(None)) for i in range(0, len(v2), step)]
     low = min(n, _CHUNK)
     block = _pass_views(flat, 1, low) if len(pieces) == 1 else None
-    high = _pass_views(flat, low, n)
+    high = _pass_views(flat, low, n) if n > _CHUNK else None
     # numpy's iterator would copy the mid passes' operands through its
-    # buffer; errstate restores the setting (a contextvar) on the way out
-    with np.errstate():
-        np.setbufsize(_BUFSIZE)
+    # buffer; errstate restores the setting (a contextvar) on the way out.
+    # On smaller blocks the scope costs more than the copies it saves
+    unbuffered = v.size >= _UNBUFFERED
+    with np.errstate() if unbuffered else nullcontext():
+        if unbuffered:
+            np.setbufsize(_BUFSIZE)
         for prepare in prepares:
             for rows, cols in pieces:
                 if prepare is not None:
                     prepare(rows, cols)
                 _run(*(block or _pass_views(v2[rows, cols].reshape(-1), 1, low)))
-            _run(*high)
+            if high:
+                _run(*high)
 
 
 def _zeta_inplace(v: np.ndarray) -> None:

@@ -9,6 +9,7 @@ from treeshap_hd.cubes import SHAPLEY, build_diagonal_cache, cube_shapley, map_p
 from treeshap_hd.errors import LayoutError, LengthError, SizeError, StructureError
 from treeshap_hd.fastmult import (
     _BUFSIZE,
+    _UNBUFFERED,
     _transforms,
     _zeta_inplace,
     count_operations,
@@ -257,7 +258,7 @@ def test_zeta_rejects_a_layout_it_would_copy():
 
 
 def test_kernel_leaves_the_ufunc_buffer_size_alone():
-    # the passes run with numpy's buffer cut down; the setting is
+    # large blocks run their passes with numpy's buffer cut down; the setting is
     # scoped, so a caller's own buffer size holds after every kind of exit
     rng = np.random.default_rng(18)
     seen = []
@@ -268,6 +269,9 @@ def test_kernel_leaves_the_ufunc_buffer_size_alone():
             assert np.getbufsize() == 4096
         _transforms(np.zeros(1 << 17), [lambda i, cols: seen.append(np.getbufsize())])
         assert np.getbufsize() == 4096 and seen == [_BUFSIZE, _BUFSIZE]
+        # below _UNBUFFERED doubles the passes keep the caller's buffer size
+        _transforms(np.zeros((2, _UNBUFFERED // 4)), [lambda i, cols: seen.append(np.getbufsize())])
+        assert seen[2:] == [4096]
         with pytest.raises(LayoutError):
             _zeta_inplace(np.zeros((1 << 13, 2)).T)
         assert np.getbufsize() == 4096
