@@ -138,7 +138,9 @@ def _transforms(v: np.ndarray, prepares) -> None:
     flat = v.reshape(-1)
     v2 = flat.reshape(-1, n)
     if n > _CHUNK:
-        pieces = [(slice(i, i + 1), slice(s, s + _CHUNK)) for i in range(len(v2)) for s in range(0, n, _CHUNK)]
+        pieces = [
+            (slice(i, i + 1), slice(s, s + _CHUNK)) for i in range(len(v2)) for s in range(0, n, _CHUNK)
+        ]
     else:
         step = _CHUNK // n
         pieces = [(slice(i, i + step), slice(None)) for i in range(0, len(v2), step)]
