@@ -362,7 +362,7 @@ _FLAGS = {
         "choices": [SHAPLEY, BANZHAF, INTERACTION], "default": SHAPLEY, "dest": "functional"
     },
     "--output": {"dest": "output_path"},
-    "--threads": {"type": int, "default": 1},
+    "--threads": {"type": int, "default": 1, "help": "accepted and ignored (at least 1): runs are serial"},
     "--memory-budget": {"type": int, "dest": "memory_budget_bytes"},
     "--depth-cap": {"type": int, "default": DEFAULT_FEATURE_CAP},
     "--seed": {"type": int, "default": 0},

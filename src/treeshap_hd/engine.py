@@ -5,13 +5,13 @@ patterns with its background patterns or cover ratios.  Per leaf, the loop
 (1) builds the leaf's distribution f (empirical counts or cover-ratio
 products), (2) multiplies the leaf's per-position value matrices by it with
 a kernel, a block of max(1, max(n, 2^K) >> k) matrices per call for n
-consumer rows and K the model's largest k,
-and (3) gathers each consumer's entry of each product by its own pattern,
-scaled by the leaf weight.  The all-ones entry of f is the share of background
-rows (or of cover) that reaches the leaf, so the leaf adds weight x f[-1] to
-the base value.  Each tree's result is added to the output as soon as the
-tree finishes, in model order, so a run holds at most threads + 1 per-tree
-results at once.
+consumer rows and K the model's largest k, and (3) scales the block by the
+leaf weight, gathers each consumer's entry of each product by its own
+pattern and adds it into one feature-major output, (F, n) or (F, F, n).
+The all-ones entry of f is the share of background rows (or of cover) that
+reaches the leaf, so the leaf adds weight x f[-1] to the base value.  The
+loop is serial: trees in model order, leaves depth-first, every leaf adding
+into the same output, so a run holds no per-tree results.
 
 Two kernels share the loop.  :func:`explain` multiplies the cached secondary
 diagonals with the O(k 2^k) zeta kernel; :func:`explain_dense` multiplies the
@@ -23,8 +23,6 @@ that budget guards consult.  Also here: definitional brute-force oracles
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 import math
@@ -69,11 +67,10 @@ MODES = (BACKGROUND, PATH_DEPENDENT)
 BRUTE_FORCE_FEATURE_CAP = 14
 DENSE_BASELINE_CAP = 12  # explain_dense enumerates 3^k cube entries per leaf
 
-# Python objects a run allocates: generators, futures, and the tuples
-# the interpreter's free lists keep after the leaf loop discards them.
-# Measured at up to 17 KiB (20 depth-10 interaction trees, 2,801 leaves,
-# one row, path-dependent; 12 KiB in background mode); the rest is margin
-# for how a thread pool's workers overlap.
+# Python objects a run allocates: generators, and the tuples the
+# interpreter's free lists keep after the leaf loop discards them.  Measured
+# at 9 KiB left after a run (20 depth-10 interaction trees, 2,801 leaves, one
+# row, path-dependent; 2 KiB in background mode); the rest is margin.
 _INTERPRETER_BYTES = 64 << 10
 
 
@@ -163,18 +160,16 @@ def projected_peak_bytes(
 
     Counts the kernel's tables (the diagonal cache, plus the Shapley cache for
     interactions; with ``dense``, the sparse matrices :func:`explain_dense`
-    builds and the cube table they come from), per worker thread one leaf's
-    working vectors and the pattern stacks of its tree walk, the output, and
-    threads + 1 per-tree results, the most a pool holds as it reduces trees
-    while they finish (the serial path holds one).  The consumer and
-    background rows are not counted.
+    builds and the cube table they come from), one leaf's working vectors and
+    the pattern stacks of its tree walk, and the output, which every leaf adds
+    into.  The consumer and background rows are not counted.  ``threads`` is
+    accepted, as :func:`explain` accepts it, and ignored: a run is serial.
     """
     model = request.model
     interaction = request.functional == INTERACTION
     n = len(request.consumers)
     background = request.background if request.mode == BACKGROUND else None
     m = 0 if background is None else len(background)
-    n_trees = len(model.trees)
     k_max = max((t.max_unique_features for t in model.trees), default=0)
     depth = max((t.max_path_depth for t in model.trees), default=0)
 
@@ -190,18 +185,15 @@ def projected_peak_bytes(
     # six 2^k_max vectors: a leaf's distribution, its bincount and the kernel's
     # vector, or the temporaries of building the cache's deepest level; a
     # block of products, at most max(n, 2^k_max) entries, with the zeta
-    # passes' copy of up to 1.5 blocks; two gathered rows; per dataset,
+    # passes' copy of up to 1.5 blocks; one gathered row; per dataset,
     # depth + 1 live pattern vectors and a split's temporaries
     block = _block_span(n, k_max)
-    worker = (48 << k_max) + 20 * block + 16 * n + 4 * (depth + 3) * (n + m)
-    workers = max(1, min(threads, n_trees))
+    working = (48 << k_max) + 20 * block + 8 * n + 4 * (depth + 3) * (n + m)
     F = model.n_features
-    result = 8 * n * F * (F + 1 if interaction else 1)
-    in_flight = min(threads + 1, n_trees)
-    diagonal_fill = 16 * n * F if interaction else 0  # two (n, F) temporaries
-    return (
-        _INTERPRETER_BYTES + tables + workers * worker + result * (1 + in_flight) + diagonal_fill
-    )
+    # (F, n), or (F, F, n) and the (F, n) Shapley buffer; the diagonal fill
+    # of an interaction run sums the pair rows into one (F, n) temporary
+    output = 8 * n * F * (F + 2 if interaction else 1)
+    return _INTERPRETER_BYTES + tables + working + output
 
 
 class _Kernel(NamedTuple):
@@ -243,26 +235,27 @@ def _diagonal_kernel(k_max: int, functional: str, cap: int) -> _Kernel:
     return _Kernel(tables, lambda level, r0, r1, f: diagonal_matvec(level[r0:r1], f), nbytes)
 
 
-def _leaf_loop(request, model, X, B, kernel, *, depth_cap, threads, stats):
+def _leaf_loop(request, model, X, B, kernel, *, depth_cap, stats):
     """The leaf loop both entry points share; ``kernel`` supplies the value matrices.
 
-    Trees are reduced in model order as they finish, so results, the base
-    value included, are bit-identical for any thread count.  The serial path
-    holds one tree's result at a time; the pool holds at most threads + 1, the
-    one being reduced and the trees submitted after it.
+    One serial pass over the trees in model order and their leaves in
+    depth-first order adds each leaf's scaled, gathered products straight
+    into one feature-major output, (F, n), or (F, F, n) with an (F, n)
+    Shapley buffer for interactions, one contiguous row add per product.
+    Each tree's share of the base value is summed apart and added in model
+    order.  The values returned are the (n, F) or (n, F, F) transposed view
+    of that output.
     """
     F = model.n_features
     n = X.shape[0]
     span = _block_span(n, max(kernel.tables, default=0))
     interaction = request.functional == INTERACTION
-    shape = (n, F, F) if interaction else (n, F)
+    out = np.zeros((F, F, n) if interaction else (F, n))
+    phi = np.zeros((F, n)) if interaction else None
     bg_bytes = B.shape[0] * 4 if B is not None else 0
-
-    def tree_values(tree):
-        apply = kernel.apply
-        acc = np.zeros(shape)
-        phi = np.zeros((n, F)) if interaction else None
-        held = ExplainStats() if stats is not None else None
+    apply = kernel.apply
+    base_total = 0.0  # the trees' shares of the base value
+    for tree in model.trees:
         base = 0.0
         for item in iter_leaf_patterns(tree, X, B, covers=B is None, cap=depth_cap):
             feats = item.features
@@ -278,65 +271,40 @@ def _leaf_loop(request, model, X, B, kernel, *, depth_cap, threads, stats):
             main, shap, entries, pairs = kernel.tables[k]
             pc = item.patterns
             block = max(1, span >> k)
-            if held is not None:
+            if stats is not None:
                 block_bytes = min(block, max(k, len(main))) * f.nbytes
                 # f and its counts, the block, and the zeta passes' copy of
                 # an overlapping operand, up to 1.5 blocks
                 working = 2 * f.nbytes + block_bytes + 3 * block_bytes // 2
-                held.peak_bytes = max(held.peak_bytes, working + pc.nbytes + bg_bytes)
-                held.leaf_nonzeros.append(entries)
-            # interactions: the Shapley rows into phi, then the pair rows into acc
-            runs = ((shap, phi, None), (main, acc, pairs)) if interaction else ((main, acc, None),)
-            for level, out, level_pairs in runs:
+                stats.peak_bytes = max(stats.peak_bytes, working + pc.nbytes + bg_bytes)
+                stats.leaf_nonzeros.append(entries)
+            # interactions: the Shapley rows into phi, then the pair rows into out
+            runs = ((shap, phi, None), (main, out, pairs)) if interaction else ((main, out, None),)
+            for level, acc, level_pairs in runs:
                 rows = len(level)
                 for r0 in range(0, rows, block):
                     G = apply(level, r0, min(r0 + block, rows), f)
+                    G *= w
                     for r, g in enumerate(G, r0):
                         t = g[pc]
-                        t *= w
                         if level_pairs is None:
-                            out[:, feats[r]] += t
+                            acc[feats[r]] += t
                         else:
                             j1, j2 = level_pairs[r]
-                            out[:, feats[j1], feats[j2]] += t
-                            out[:, feats[j2], feats[j1]] += t
+                            acc[feats[j1], feats[j2]] += t
+                            acc[feats[j2], feats[j1]] += t
                         del t  # freed before the next row's gather allocates
                     del G, g
-        return acc, phi, base, held
-
-    values = np.zeros(shape)
-    phi_total = np.zeros((n, F)) if interaction else None
-    base_total = np.zeros(1)  # the trees' shares of the base value
-
-    def add_tree(result):
-        acc, phi, base, held = result
-        np.add(values, acc, out=values)
-        base_total[0] += base
-        if interaction:
-            np.add(phi_total, phi, out=phi_total)
-        if held is not None:
-            stats.peak_bytes = max(stats.peak_bytes, held.peak_bytes)
-            stats.leaf_nonzeros += held.leaf_nonzeros
-
-    if threads > 1 and len(model.trees) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending = deque()
-            for tree in model.trees:
-                pending.append(pool.submit(tree_values, tree))
-                if len(pending) > threads:
-                    add_tree(pending.popleft().result())
-            while pending:
-                add_tree(pending.popleft().result())
-    else:
-        for tree in model.trees:
-            add_tree(tree_values(tree))
+            del f  # freed before the next leaf's distribution is built
+        base_total += base
 
     if interaction:
         idx = np.arange(F)
-        values[:, idx, idx] = phi_total - values.sum(axis=2)
+        np.subtract(phi, out.sum(axis=1), out=phi)
+        out[idx, idx] = phi
     if stats is not None:
         stats.table_bytes += kernel.nbytes
-    return AttributionResult(values, float(model.base_score + base_total[0]))
+    return AttributionResult(np.moveaxis(out, -1, 0), float(model.base_score + base_total))
 
 
 def explain(
@@ -349,26 +317,28 @@ def explain(
 ) -> AttributionResult:
     """Exact attributions for every consumer row.
 
-    Deterministic for a fixed model and datasets: leaves are processed in
-    depth-first order and trees are reduced in model order, so repeated runs
-    (any thread count) are bit-identical.  With ``memory_budget_bytes`` set,
-    raises :class:`BudgetExceededError` before any work when
-    :func:`projected_peak_bytes` exceeds it.
+    ``values`` is (n, F), or (n, F, F) for interactions: the transposed view
+    of the feature-major buffer the leaves add into, not a C-order copy.
+    Deterministic for a fixed model and datasets: one serial loop takes the
+    trees in model order and their leaves depth-first, and adds each leaf's
+    products straight into the output, so repeated runs are bit-identical,
+    and each row's values do not depend on the other rows.  ``threads`` is
+    accepted and ignored (it must still be at least 1).  With
+    ``memory_budget_bytes`` set, raises :class:`BudgetExceededError` before
+    any work when :func:`projected_peak_bytes` exceeds it.
     """
     if threads < 1:
         raise ValidationError("threads must be >= 1")
     model, X, B = _prepare(request)
     k_max = _max_unique_features(model, depth_cap)
     if memory_budget_bytes is not None:
-        projected = projected_peak_bytes(request, threads=threads)
+        projected = projected_peak_bytes(request)
         if projected > memory_budget_bytes:
             raise BudgetExceededError(
                 f"projected peak {projected} bytes exceeds budget {memory_budget_bytes}"
             )
     kernel = _diagonal_kernel(k_max, request.functional, depth_cap)
-    return _leaf_loop(
-        request, model, X, B, kernel, depth_cap=depth_cap, threads=threads, stats=stats
-    )
+    return _leaf_loop(request, model, X, B, kernel, depth_cap=depth_cap, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -561,4 +531,4 @@ def explain_dense(
     """
     model, X, B = _prepare(request)
     kernel = _dense_kernel(_max_unique_features(model, depth_cap), request.functional)
-    return _leaf_loop(request, model, X, B, kernel, depth_cap=depth_cap, threads=1, stats=stats)
+    return _leaf_loop(request, model, X, B, kernel, depth_cap=depth_cap, stats=stats)

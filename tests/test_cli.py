@@ -287,23 +287,30 @@ def test_explain_deep_lightgbm_chain(tmp_path, mode):
 
 
 def test_threads_flag_is_bit_identical(tmp_path):
+    # --threads is accepted and ignored; the CSV holds the library's values bit for bit
     model = random_model(8, max_depth=5, n_features=4, n_trees=4)
     model_path = tmp_path / "model.json"
     save_canonical(model, model_path)
     rng = np.random.default_rng(1)
     header = [f"f{i}" for i in range(4)]
-    write_csv(tmp_path / "d.csv", header, random_dataset(rng, 6, 4).tolist())
-    write_csv(tmp_path / "b.csv", header, random_dataset(rng, 9, 4).tolist())
-    outputs = []
-    for threads in ("1", "3"):
-        out = tmp_path / f"out{threads}.csv"
-        assert main([
-            "explain", "--model", str(model_path), "--data", str(tmp_path / "d.csv"),
-            "--background", str(tmp_path / "b.csv"), "--threads", threads,
-            "--output", str(out),
-        ]) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    X, B = random_dataset(rng, 6, 4), random_dataset(rng, 9, 4)
+    write_csv(tmp_path / "d.csv", header, X.tolist())
+    write_csv(tmp_path / "b.csv", header, B.tolist())
+    for functional in (SHAPLEY, INTERACTION):
+        want = explain(ExplainRequest(model, X, B, "background", functional))
+        outputs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"out{threads}.csv"
+            assert main([
+                "explain", "--model", str(model_path), "--data", str(tmp_path / "d.csv"),
+                "--background", str(tmp_path / "b.csv"), "--threads", threads,
+                "--values", functional, "--output", str(out),
+            ]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(table[:, 2:], want.values.reshape(6, -1))
+        assert np.all(table[:, 1] == want.base_value)
 
 
 def test_validate_small_sweep_passes():

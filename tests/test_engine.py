@@ -183,14 +183,25 @@ def test_additivity_across_trees():
 
 
 def test_determinism_and_thread_count_invariance():
+    # threads is accepted and ignored: every count gives the same bits
     model = random_model(23, max_depth=6, n_features=6, n_trees=4)
-    request = request_for(model, 3, BACKGROUND, SHAPLEY, n=8, m=16)
-    first = explain(request, threads=1)
-    second = explain(request, threads=1)
-    threaded = explain(request, threads=3)
-    assert np.array_equal(first.values, second.values)
-    assert np.array_equal(first.values, threaded.values)
-    assert first.base_value == second.base_value == threaded.base_value
+    for mode in (BACKGROUND, PATH_DEPENDENT):
+        for functional in ALL_FUNCTIONALS:
+            request = request_for(model, 3, mode, functional, n=8, m=16)
+            first = explain(request, threads=1)
+            for threads in (1, 2, 3):
+                again = explain(request, threads=threads)
+                assert np.array_equal(first.values, again.values), (mode, functional, threads)
+                assert first.base_value == again.base_value
+
+
+@pytest.mark.parametrize("functional", ALL_FUNCTIONALS)
+def test_values_are_a_view_of_the_feature_major_output(functional):
+    model = random_model(5, max_depth=5, n_features=6, n_trees=3)
+    values = explain(request_for(model, 0, BACKGROUND, functional, n=5)).values
+    assert values.shape == ((5, 6, 6) if functional == INTERACTION else (5, 6))
+    # rows are the last, contiguous axis of the buffer under the view
+    assert np.moveaxis(values, 0, -1).flags.c_contiguous
 
 
 @pytest.mark.parametrize("mode", (BACKGROUND, PATH_DEPENDENT))
@@ -317,13 +328,31 @@ def test_projected_peak_bounds_measured_peak(functional, n_trees, threads, mode)
     assert peak <= projected <= 4 * peak, (peak, projected)
 
 
-def test_budget_counts_output_and_tree_results():
-    # the output and two per-tree results, each 2000 x 16 x 17 doubles,
-    # project past 10 MB; the cache and working vectors are far smaller
+def test_budget_counts_the_output():
+    # the output and its Shapley buffer, 2000 x 16 x 17 doubles (4.35 MB),
+    # exceed 4 MB; the cache and working vectors are far smaller
     model = random_model(0, max_depth=6, n_features=16, n_trees=20)
     request = request_for(model, 0, PATH_DEPENDENT, INTERACTION, n=2000)
     with pytest.raises(BudgetExceededError):
-        explain(request, memory_budget_bytes=10_000_000)
+        explain(request, memory_budget_bytes=4_000_000)
+    peak = _traced_peak(lambda: explain(request))
+    assert peak <= projected_peak_bytes(request), peak
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("functional", (SHAPLEY, INTERACTION))
+def test_trees_add_into_one_output(functional, threads):
+    # every leaf adds straight into the output, so twenty trees peak within
+    # one output's bytes of their first tree alone, for any thread count
+    model = random_model(0, max_depth=6, n_features=16, n_trees=20)
+    request = request_for(model, 0, PATH_DEPENDENT, functional, n=2000)
+    first = EnsembleModel(model.trees[:1], model.n_features, model.base_score)
+    alone = ExplainRequest(first, request.consumers, None, PATH_DEPENDENT, functional)
+    output_bytes = 8 * 2000 * 16 * (16 if functional == INTERACTION else 1)
+    growth = _traced_peak(lambda: explain(request, threads=threads)) - _traced_peak(
+        lambda: explain(alone, threads=threads)
+    )
+    assert growth < output_bytes, (growth, output_bytes)
 
 
 def test_bruteforce_single_leaf_model():
