@@ -1,7 +1,7 @@
 """Depth scaling: the 2^k k fast path against the 3^k dense baseline.
 
 Runs the full pipeline on deep-spine models of growing depth and reports
-wall time, instrumented operation counts and working-set bytes.  The dense
+wall time, instrumented operation counts and projected peak bytes.  The dense
 baseline triples per extra level while the fast path roughly doubles, which
 is the whole reason deep trees are tractable here.
 """

@@ -24,7 +24,6 @@ from .engine import (
     PATH_DEPENDENT,
     AttributionResult,
     ExplainRequest,
-    ExplainStats,
     brute_force_background,
     brute_force_path_dependent,
     explain,

@@ -25,7 +25,6 @@ from .engine import (
     DENSE_BASELINE_CAP,
     PATH_DEPENDENT,
     ExplainRequest,
-    ExplainStats,
     brute_force_background,
     brute_force_path_dependent,
     explain,
@@ -74,18 +73,18 @@ class BenchReport:
     def summary(self) -> str:
         lines = [
             f"{'depth':>5} {'method':>6} {'mode':>14} {'seconds':>10} "
-            f"{'peak_bytes':>12} {'adds':>14} {'muls':>12}"
+            f"{'projected_bytes':>15} {'adds':>14} {'muls':>12}"
         ]
         for rec in self.records:
             if rec.get("skipped"):
                 lines.append(
                     f"{rec['depth']:>5} {rec['method']:>6} {rec['mode']:>14} "
-                    f"{'skipped: ' + rec['reason']:>51}"
+                    f"{'skipped: ' + rec['reason']:>54}"
                 )
             else:
                 lines.append(
                     f"{rec['depth']:>5} {rec['method']:>6} {rec['mode']:>14} "
-                    f"{rec['wall_time_seconds']:>10.4f} {rec['peak_bytes']:>12} "
+                    f"{rec['wall_time_seconds']:>10.4f} {rec['projected_bytes']:>15} "
                     f"{rec['adds']:>14} {rec['muls']:>12}"
                 )
         return "\n".join(lines)
@@ -284,25 +283,22 @@ def _bench_request(config: RunConfig, depth: int) -> ExplainRequest:
     return ExplainRequest(model, consumers, background, config.mode, config.functional)
 
 
-def _bench_one(config: RunConfig, request, depth: int, method: str, repeats: int):
+def _bench_one(config: RunConfig, request, depth: int, method: str, repeats: int, projected: int):
     best = None
     for _ in range(max(repeats, 1)):
-        stats = ExplainStats()
         with count_operations() as ops:
             start = time.perf_counter()
             if method == "hd":
-                explain(request, depth_cap=config.depth_cap, stats=stats)
+                explain(request, depth_cap=config.depth_cap)
             else:
-                explain_dense(request, depth_cap=DENSE_BASELINE_CAP, stats=stats)
+                explain_dense(request, depth_cap=DENSE_BASELINE_CAP)
             elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed
-    # hd: tables plus the largest leaf working set; dense: tables plus three 2^depth vectors
-    peak = stats.table_bytes + (stats.peak_bytes if method == "hd" else 3 * 8 * (1 << depth))
     return {
         "depth": depth,
         "wall_time_seconds": best,
-        "peak_bytes": int(peak),
+        "projected_bytes": projected,
         "adds": int(ops.adds),
         "muls": int(ops.muls),
         "mode": config.mode,
@@ -315,22 +311,26 @@ def cmd_bench(
 ) -> tuple[int, BenchReport]:
     """Time the full pipeline on deep-spine models at each depth.
 
-    Dense runs past the baseline cap (reason ``dense_cap``), and
-    configurations whose projected peak memory (:func:`projected_peak_bytes`)
-    exceeds the budget (reason ``budget``, with the ``projected_bytes``), are
-    skipped with a recorded reason instead of run.
+    Each record carries ``projected_bytes``, the run's
+    :func:`projected_peak_bytes`: an upper estimate of its peak, not a
+    measurement.  Dense runs past the baseline cap (reason ``dense_cap``),
+    and configurations whose projection exceeds the budget (reason
+    ``budget``), are skipped with a recorded reason instead of run.  scipy is
+    imported before the first dense run, so no timed run pays its import.
     """
     report = BenchReport()
     budget = config.memory_budget_bytes
+    if "dense" in methods:
+        import scipy.sparse  # explain_dense would import it inside the first timed run
     for depth in sorted(depths):
         request = _bench_request(config, depth)
         for method in methods:
             skip = None
             if method == "dense" and depth > DENSE_BASELINE_CAP:
                 skip = {"reason": "dense_cap"}
-            elif budget is not None:
+            else:
                 projected = projected_peak_bytes(request, dense=method == "dense")
-                if projected > budget:
+                if budget is not None and projected > budget:
                     skip = {"reason": "budget", "projected_bytes": projected}
             if skip is not None:
                 report.records.append(
@@ -338,7 +338,7 @@ def cmd_bench(
                 )
                 log.info("bench: skipping depth=%d method=%s (%s)", depth, method, skip["reason"])
                 continue
-            rec = _bench_one(config, request, depth, method, repeats)
+            rec = _bench_one(config, request, depth, method, repeats, projected)
             report.records.append(rec)
             log.info("bench: depth=%d method=%s %.4fs", depth, method, rec["wall_time_seconds"])
     if config.output_path:

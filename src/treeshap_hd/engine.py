@@ -23,7 +23,7 @@ that budget guards consult.  Also here: definitional brute-force oracles
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 import math
 from typing import Callable, NamedTuple
@@ -91,26 +91,6 @@ class AttributionResult:
     base_value: float
 
 
-@dataclass
-class ExplainStats:
-    """What an :func:`explain` or :func:`explain_dense` run held; pass it as ``stats=``.
-
-    ``table_bytes`` counts the kernel's value tables (the diagonal caches, or
-    the sparse matrices); ``peak_bytes`` is the largest per-leaf working set,
-    tables excluded: the leaf's distribution and its counts, the consumer and
-    background patterns, one block of products (at most max(n, 2^k) entries)
-    and the zeta passes' copy of an overlapping operand, up to 1.5 blocks;
-    ``leaf_nonzeros`` lists, per leaf with k >= 1 in model and depth-first
-    order, the stored entries of one of its value matrices (2^k diagonal
-    entries, or 3^k sparse ones).  A run adds to what the object already
-    holds.
-    """
-
-    table_bytes: int = 0
-    peak_bytes: int = 0
-    leaf_nonzeros: list = field(default_factory=list)
-
-
 def _checked_rows(rows, n_features, what):
     X = _as_rows(rows)
     if X.shape[1] != n_features:
@@ -153,17 +133,14 @@ def _block_span(n: int, k_max: int) -> int:
     return max(n, 1 << k_max)
 
 
-def projected_peak_bytes(
-    request: ExplainRequest, *, threads: int = 1, dense: bool = False
-) -> int:
+def projected_peak_bytes(request: ExplainRequest, *, dense: bool = False) -> int:
     """Upper estimate of the bytes an :func:`explain` run allocates at its peak.
 
     Counts the kernel's tables (the diagonal cache, plus the Shapley cache for
     interactions; with ``dense``, the sparse matrices :func:`explain_dense`
     builds and the cube table they come from), one leaf's working vectors and
     the pattern stacks of its tree walk, and the output, which every leaf adds
-    into.  The consumer and background rows are not counted.  ``threads`` is
-    accepted, as :func:`explain` accepts it, and ignored: a run is serial.
+    into.  The consumer and background rows are not counted.
     """
     model = request.model
     interaction = request.functional == INTERACTION
@@ -200,15 +177,13 @@ class _Kernel(NamedTuple):
     """The value matrices the leaf loop multiplies, and the product that applies a block.
 
     ``tables[k]`` is (the functional's matrices, the Shapley matrices for
-    interactions, stored entries per matrix, the position pair of each
-    interaction matrix); ``apply(mats, r0, r1, f)`` returns the
-    (r1 - r0, 2^k) products of matrices r0..r1-1 with f; ``nbytes`` sizes
-    all the tables.
+    interactions, the position pair of each interaction matrix);
+    ``apply(mats, r0, r1, f)`` returns the (r1 - r0, 2^k) products of
+    matrices r0..r1-1 with f.
     """
 
     tables: dict
     apply: Callable
-    nbytes: int
 
 
 def _diagonal_kernel(k_max: int, functional: str, cap: int) -> _Kernel:
@@ -223,19 +198,17 @@ def _diagonal_kernel(k_max: int, functional: str, cap: int) -> _Kernel:
         k: (
             main.levels[k],
             shap.levels[k] if shap else None,
-            1 << k,
             list(combinations(range(k), 2)) if shap else None,
         )
         for k in range(1, k_max + 1)
     }
-    nbytes = sum(cache.nbytes for cache in (main, shap) if cache is not None)
     # a lambda, so diagonal_matvec is looked up per call and a wrapper swapped
     # into this module (as the benchmark's trace does) takes effect; the row
     # slice is a view of the cache level
-    return _Kernel(tables, lambda level, r0, r1, f: diagonal_matvec(level[r0:r1], f), nbytes)
+    return _Kernel(tables, lambda level, r0, r1, f: diagonal_matvec(level[r0:r1], f))
 
 
-def _leaf_loop(request, model, X, B, kernel, *, depth_cap, stats):
+def _leaf_loop(request, model, X, B, kernel, *, depth_cap):
     """The leaf loop both entry points share; ``kernel`` supplies the value matrices.
 
     One serial pass over the trees in model order and their leaves in
@@ -252,7 +225,6 @@ def _leaf_loop(request, model, X, B, kernel, *, depth_cap, stats):
     interaction = request.functional == INTERACTION
     out = np.zeros((F, F, n) if interaction else (F, n))
     phi = np.zeros((F, n)) if interaction else None
-    bg_bytes = B.shape[0] * 4 if B is not None else 0
     apply = kernel.apply
     base_total = 0.0  # the trees' shares of the base value
     for tree in model.trees:
@@ -268,16 +240,9 @@ def _leaf_loop(request, model, X, B, kernel, *, depth_cap, stats):
             base += w * f[-1]  # f[-1]: the share that reaches the leaf
             if k == 0:
                 continue  # constant leaf: contributes to the base value only
-            main, shap, entries, pairs = kernel.tables[k]
+            main, shap, pairs = kernel.tables[k]
             pc = item.patterns
             block = max(1, span >> k)
-            if stats is not None:
-                block_bytes = min(block, max(k, len(main))) * f.nbytes
-                # f and its counts, the block, and the zeta passes' copy of
-                # an overlapping operand, up to 1.5 blocks
-                working = 2 * f.nbytes + block_bytes + 3 * block_bytes // 2
-                stats.peak_bytes = max(stats.peak_bytes, working + pc.nbytes + bg_bytes)
-                stats.leaf_nonzeros.append(entries)
             # interactions: the Shapley rows into phi, then the pair rows into out
             runs = ((shap, phi, None), (main, out, pairs)) if interaction else ((main, out, None),)
             for level, acc, level_pairs in runs:
@@ -302,8 +267,6 @@ def _leaf_loop(request, model, X, B, kernel, *, depth_cap, stats):
         idx = np.arange(F)
         np.subtract(phi, out.sum(axis=1), out=phi)
         out[idx, idx] = phi
-    if stats is not None:
-        stats.table_bytes += kernel.nbytes
     return AttributionResult(np.moveaxis(out, -1, 0), float(model.base_score + base_total))
 
 
@@ -313,7 +276,6 @@ def explain(
     threads: int = 1,
     memory_budget_bytes: int | None = None,
     depth_cap: int = DEFAULT_FEATURE_CAP,
-    stats: ExplainStats | None = None,
 ) -> AttributionResult:
     """Exact attributions for every consumer row.
 
@@ -338,7 +300,7 @@ def explain(
                 f"projected peak {projected} bytes exceeds budget {memory_budget_bytes}"
             )
     kernel = _diagonal_kernel(k_max, request.functional, depth_cap)
-    return _leaf_loop(request, model, X, B, kernel, depth_cap=depth_cap, stats=stats)
+    return _leaf_loop(request, model, X, B, kernel, depth_cap=depth_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -499,30 +461,20 @@ def _sparse_tables(k: int, functional: str):
         pairs = list(combinations(range(k), 2))
         mats = [matrix([cube_interaction(c, j1, j2) for c in cubes]) for j1, j2 in pairs]
         shap = [matrix([cube_shapley(c, j) for c in cubes]) for j in range(k)]
-        return mats, shap, len(cubes), pairs
+        return mats, shap, pairs
     fn = cube_shapley if functional == SHAPLEY else cube_banzhaf
     mats = [matrix([fn(c, j) for c in cubes]) for j in range(k)]
-    return mats, None, len(cubes), None
+    return mats, None, None
 
 
 def _dense_kernel(k_max: int, functional: str) -> _Kernel:
     """Regression anchor: the sparse value matrices, O(3^k) per product."""
     tables = {k: _sparse_tables(k, functional) for k in range(1, k_max + 1)}
-    nbytes = sum(
-        mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-        for mats, shap, *_ in tables.values()
-        for mat in mats + (shap or [])
-    )
-    return _Kernel(
-        tables, lambda mats, r0, r1, f: np.stack([m.dot(f) for m in mats[r0:r1]]), nbytes
-    )
+    return _Kernel(tables, lambda mats, r0, r1, f: np.stack([m.dot(f) for m in mats[r0:r1]]))
 
 
 def explain_dense(
-    request: ExplainRequest,
-    *,
-    depth_cap: int = DENSE_BASELINE_CAP,
-    stats: ExplainStats | None = None,
+    request: ExplainRequest, *, depth_cap: int = DENSE_BASELINE_CAP
 ) -> AttributionResult:
     """Same contract as :func:`explain`, via full sparse value matrices.
 
@@ -531,4 +483,4 @@ def explain_dense(
     """
     model, X, B = _prepare(request)
     kernel = _dense_kernel(_max_unique_features(model, depth_cap), request.functional)
-    return _leaf_loop(request, model, X, B, kernel, depth_cap=depth_cap, stats=stats)
+    return _leaf_loop(request, model, X, B, kernel, depth_cap=depth_cap)

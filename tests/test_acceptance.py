@@ -208,13 +208,13 @@ def test_criterion_07_scaling_benchmarks():
 
     ks = np.arange(12, 19)
     x = ks + np.log2(ks)
-    y = np.log2([high_recs[int(k)]["peak_bytes"] for k in ks])
+    y = np.log2([high_recs[int(k)]["projected_bytes"] for k in ks])
     slope = float(np.polyfit(x, y, 1)[0])
     memory_ok = 0.95 <= slope <= 1.1
 
     dense_ks = np.arange(8, 13)
     dx = dense_ks + np.log2(dense_ks)
-    dy = np.log2([low_recs[(int(k), "dense")]["peak_bytes"] for k in dense_ks])
+    dy = np.log2([low_recs[(int(k), "dense")]["projected_bytes"] for k in dense_ks])
     dense_slope = float(np.polyfit(dx, dy, 1)[0])
     dense_ok = dense_slope > 1.3  # 3^k growth reads ~1.5 on this axis
 

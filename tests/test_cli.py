@@ -354,7 +354,7 @@ def test_bench_writes_report_and_counters_are_deterministic(tmp_path):
     assert [r["depth"] for r in r1] == [4, 4, 5, 5]
     for a, b in zip(r1, r2):
         assert a["adds"] == b["adds"] and a["muls"] == b["muls"]
-        assert a["peak_bytes"] == b["peak_bytes"]
+        assert a["projected_bytes"] == b["projected_bytes"]
         assert a["adds"] >= 0 and a["muls"] >= 0
         assert a["wall_time_seconds"] > 0
 
@@ -374,6 +374,30 @@ def test_bench_skips_when_budget_too_small():
     rec = report.records[0]
     assert rec["skipped"] and rec["reason"] == "budget"
     assert rec["projected_bytes"] == projected_peak_bytes(_bench_request(config, 8)) > 1024
+    # a run within budget records the same projection it was checked against
+    config = RunConfig(seed=0, memory_budget_bytes=1 << 30)
+    code, report = cmd_bench(config, depths=[6], methods=("hd", "dense"))
+    request = _bench_request(config, 6)
+    for rec in report.records:
+        assert not rec.get("skipped")
+        dense = rec["method"] == "dense"
+        assert rec["projected_bytes"] == projected_peak_bytes(request, dense=dense)
+
+
+def test_bench_does_not_time_the_scipy_import(tmp_path):
+    # in a fresh process the first dense run would otherwise pay scipy's import
+    out = tmp_path / "r.json"
+    proc = _fresh_python(
+        "-m", "treeshap_hd.cli", "bench", "--depths", "4,5,6", "--method", "both",
+        "--output", str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    dense = {
+        r["depth"]: r["wall_time_seconds"]
+        for r in json.loads(out.read_text())["records"]
+        if r["method"] == "dense"
+    }
+    assert dense[4] < max(dense.values()), dense
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import treeshap_hd.engine as engine_module
+from treeshap_hd.cli import RunConfig, _bench_request
 from treeshap_hd.cubes import BANZHAF, INTERACTION, SHAPLEY, build_diagonal_cache
 from treeshap_hd.engine import (
     BACKGROUND,
     PATH_DEPENDENT,
     ExplainRequest,
-    ExplainStats,
     brute_force_background,
     brute_force_path_dependent,
     explain,
@@ -117,13 +117,11 @@ def test_dense_baseline_agrees(mode, functional):
         assert fast.base_value == pytest.approx(dense.base_value, abs=1e-12)
 
 
-def test_dense_baseline_nonzero_counts_are_three_to_the_k(two_feature_tree):
-    model = EnsembleModel([two_feature_tree], 2, 0.0)
-    stats = ExplainStats()
-    request = request_for(model, 0, BACKGROUND, SHAPLEY)
-    explain_dense(request, stats=stats)
-    # leaves in DFS order have 2, 2 and 1 unique features
-    assert stats.leaf_nonzeros == [9, 9, 3]
+def test_dense_baseline_nonzero_counts_are_three_to_the_k():
+    # every (consumer, background) pattern pair of a cube is a stored entry
+    for k in (1, 2):
+        mats, _, _ = engine_module._sparse_tables(k, SHAPLEY)
+        assert [m.nnz for m in mats] == [3**k] * k
 
 
 def test_dense_baseline_depth_cap():
@@ -324,8 +322,18 @@ def test_projected_peak_bounds_measured_peak(functional, n_trees, threads, mode)
     model = random_model(0, max_depth=6, n_features=16, n_trees=n_trees)
     request = request_for(model, 0, mode, functional, n=400, m=50)
     peak = _traced_peak(lambda: explain(request, threads=threads))
-    projected = projected_peak_bytes(request, threads=threads)
+    projected = projected_peak_bytes(request)
     assert peak <= projected <= 4 * peak, (peak, projected)
+
+
+@pytest.mark.parametrize("dense, depth", ((False, 12), (False, 17), (True, 8)))
+def test_projected_peak_bounds_bench_peak(dense, depth):
+    # the figure bench records; from k = 17 on the kernel runs in chunked order
+    request = _bench_request(RunConfig(seed=3), depth)
+    run = (lambda: explain_dense(request)) if dense else (lambda: explain(request))
+    run()  # a first dense call imports scipy, which bench imports before any run
+    peak = _traced_peak(run)
+    assert peak <= projected_peak_bytes(request, dense=dense), peak
 
 
 def test_budget_counts_the_output():
@@ -353,6 +361,19 @@ def test_trees_add_into_one_output(functional, threads):
         lambda: explain(alone, threads=threads)
     )
     assert growth < output_bytes, (growth, output_bytes)
+
+
+@pytest.mark.parametrize("functional", (SHAPLEY, BANZHAF))
+@pytest.mark.parametrize("k", (17, 18))
+def test_deep_spine_matches_bruteforce(k, functional):
+    # k >= 17 runs the zeta passes in chunked order
+    model = deep_path_model(k, 0)
+    X = random_dataset(np.random.default_rng(k), 2, k)
+    result = explain(ExplainRequest(model, X, None, PATH_DEPENDENT, functional))
+    for r in range(2):
+        want, base = brute_force_path_dependent(model, X[r], functional, max_active=k)
+        np.testing.assert_allclose(result.values[r], want, rtol=0, atol=1e-8)
+        assert result.base_value == pytest.approx(base, abs=1e-8)
 
 
 def test_bruteforce_single_leaf_model():
