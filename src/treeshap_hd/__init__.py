@@ -24,10 +24,13 @@ from .engine import (
     PATH_DEPENDENT,
     AttributionResult,
     ExplainRequest,
+    PreparedExplainer,
     brute_force_background,
     brute_force_path_dependent,
     explain,
     explain_dense,
+    prepare,
+    prepared_nbytes,
     projected_peak_bytes,
 )
 from .errors import (

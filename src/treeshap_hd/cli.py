@@ -11,11 +11,14 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
+import stat
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -29,6 +32,9 @@ from .engine import (
     brute_force_path_dependent,
     explain,
     explain_dense,
+    output_nbytes,
+    prepare,
+    prepared_nbytes,
     projected_peak_bytes,
 )
 from .errors import (
@@ -43,6 +49,10 @@ from .patterns import DEFAULT_FEATURE_CAP
 from .synthetic import deep_path_model, random_dataset, random_model
 
 log = logging.getLogger("treeshap_hd")
+
+# Consumer values a streamed explain parses, explains and writes at a time:
+# 3,276 rows of 20 features, 512 KiB of parsed rows
+CHUNK_VALUES = 1 << 16
 
 
 @dataclass
@@ -101,42 +111,84 @@ def _utf8_lines(fh, path):
         ) from None
 
 
-def _load_csv(path):
-    """Read a headered CSV of finite reals; report the first offending cell.
+def _csv_header(reader, path):
+    header = next(reader, None)
+    if not header:
+        raise ParseError(f"{path}: empty CSV")
+    return header
 
-    Every cell goes through ``float()`` in one stream into the array.  A file
-    that fails anywhere is read again by :func:`_load_csv_cells`, the only
-    code that words a diagnostic.
+
+def _read_rows(reader, header, path, limit=None):
+    """The next ``limit`` data rows (all for None) as a (rows, columns) array.
+
+    Every cell goes through ``float()`` in one stream into the array.  Rows
+    that fail anywhere are diagnosed by :func:`_cell_rows`, the only code
+    that words a diagnostic: it reads the file again from the start, a row
+    at a time, and names the first offending cell in the whole file.
+    """
+
+    def rows():
+        for row in islice(reader, limit):
+            if len(row) != len(header):
+                raise ValueError("row length differs from the header's")
+            yield row
+
+    try:
+        X = np.fromiter(map(float, chain.from_iterable(rows())), dtype=np.float64)
+    except ValueError:
+        X = None
+    if X is None or not np.isfinite(X).all():
+        for _row in _cell_rows(path):
+            pass
+        raise ParseError(f"{path}: rows fail to parse, but no cell is at fault")
+    return X.reshape(-1, len(header))
+
+
+def _load_csv(path):
+    """Read a headered CSV of finite reals; report the first offending cell."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(_utf8_lines(fh, path))
+        header = _csv_header(reader, path)
+        return header, _read_rows(reader, header, path)
+
+
+def _csv_chunks(path, chunk_rows):
+    """The data rows of a headered CSV, ``chunk_rows`` at a time, as arrays.
+
+    Each chunk is parsed as :func:`_load_csv` parses a file, and a bad cell
+    in any chunk is named with its row in the whole file.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
-        header = next(reader, None)
-
-        def rows():
-            for row in reader:
-                if len(row) != len(header):
-                    raise ValueError("row length differs from the header's")
-                yield row
-
-        X = None
-        if header:
-            try:
-                X = np.fromiter(map(float, chain.from_iterable(rows())), dtype=np.float64)
-            except ValueError:
-                pass
-    if X is None or not np.isfinite(X).all():
-        return _load_csv_cells(path)
-    return header, X.reshape(-1, len(header))
+        header = _csv_header(reader, path)
+        while True:
+            X = _read_rows(reader, header, path, chunk_rows)
+            if not len(X):
+                return
+            yield X
+            if len(X) < chunk_rows:
+                return
 
 
 def _load_csv_cells(path):
     """Cell-by-cell reader: the first offending cell in row-major order."""
+    rows = _cell_rows(path)
+    header = next(rows)
+    data = list(rows)
+    X = np.array(data, dtype=np.float64).reshape(len(data), len(header))
+    return header, X
+
+
+def _cell_rows(path):
+    """Yields the header, then each row's values, checked cell by cell.
+
+    Raises for the first offending cell in row-major order, naming its row
+    among the data rows and its column.
+    """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
-        header = next(reader, None)
-        if not header:
-            raise ParseError(f"{path}: empty CSV")
-        data = []
+        header = _csv_header(reader, path)
+        yield header
         for r, row in enumerate(reader):
             if len(row) != len(header):
                 raise ValidationError(f"{path}: row {r} has {len(row)} cells, header has {len(header)}")
@@ -153,9 +205,23 @@ def _load_csv_cells(path):
                 if v in (float("inf"), float("-inf")):
                     raise ValidationError(f"{path}: row {r}, column {header[c]}: non-finite value")
                 parsed.append(v)
-            data.append(parsed)
-    X = np.array(data, dtype=np.float64).reshape(len(data), len(header))
-    return header, X
+            yield parsed
+
+
+def _data_rows(path) -> int:
+    """Data rows of a headered CSV, counted from its line ends without parsing it.
+
+    An upper bound: a quoted cell may span lines.  Anything but a regular
+    file counts as 0, as reading a pipe would consume it.
+    """
+    if not os.path.isfile(path):
+        return 0
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            lines += block.count(b"\n")
+            last = block[-1:]
+    return max(0, lines + (last != b"\n") - 1)
 
 
 def _load_model(config: RunConfig):
@@ -168,32 +234,132 @@ def _load_model(config: RunConfig):
     raise ValidationError(f"unknown model format {config.model_format!r}")
 
 
-def _write_values_csv(path, result, n_features, functional):
-    """One CSV row per consumer, every value with 17 significant digits.
+@contextmanager
+def _replacing(path):
+    """A text file that takes the place of ``path`` when the block completes.
 
-    Rows end in ``\\r\\n``, as ``csv.writer`` ends them; ``"%.17g" % v`` is
-    the same string as ``format(v, ".17g")`` for every float.
+    It is written beside ``path`` under a temporary name; if the block
+    raises, it is removed and ``path`` is left as it was.  A ``path`` that is
+    a symlink, device or pipe (``/dev/stdout``, say) is written through in
+    place instead.
     """
-    interaction = functional == INTERACTION
-    if interaction:
+    path = os.fspath(path)
+    try:
+        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", newline="", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _values_header(n_features, functional):
+    if functional == INTERACTION:
         cols = [f"phi_{i}_{j}" for i in range(n_features) for j in range(n_features)]
     else:
         cols = [f"phi_{i}" for i in range(n_features)]
-    values = result.values.reshape(len(result.values), len(cols))
-    row_format = "%d," + format(result.base_value, ".17g") + ",%.17g" * len(cols) + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(["row_id", "base_value"] + cols) + "\r\n")
-        fh.writelines(row_format % (row_id, *row.tolist()) for row_id, row in enumerate(values))
+    return ",".join(["row_id", "base_value"] + cols) + "\r\n"
+
+
+def _value_lines(result, start=0):
+    """One CSV line per row of ``result``, row ids counted from ``start``.
+
+    Every value has 17 significant digits and every line ends in ``\\r\\n``,
+    as ``csv.writer`` ends them; ``"%.17g" % v`` is the same string as
+    ``format(v, ".17g")`` for every float.
+    """
+    values = result.values.reshape(len(result.values), math.prod(result.values.shape[1:]))
+    row_format = "%d," + format(result.base_value, ".17g") + ",%.17g" * values.shape[1] + "\r\n"
+    return (row_format % (row_id, *row.tolist()) for row_id, row in enumerate(values, start))
+
+
+def _write_values_csv(path, result, n_features, functional):
+    """One CSV row per consumer: ``row_id``, ``base_value``, then the values."""
+    with _replacing(path) as fh:
+        fh.write(_values_header(n_features, functional))
+        fh.writelines(_value_lines(result))
+
+
+def _chunk_rows(n_features) -> int:
+    return max(1, CHUNK_VALUES // n_features)
+
+
+def _streams(model, functional, n) -> bool:
+    """Whether to explain n consumer rows chunk by chunk (see :func:`cmd_explain`)."""
+    chunk = _chunk_rows(model.n_features)
+
+    def rows_and_output(rows):
+        return 8 * rows * model.n_features + output_nbytes(rows, model.n_features, functional)
+
+    state = prepared_nbytes(model, functional)
+    return n > chunk and state + rows_and_output(chunk) < rows_and_output(n)
+
+
+def _projected_stream_bytes(request) -> int:
+    """The budget figure of a streamed run: the engine's two-phase projection for
+    one chunk's rows, plus the parsed rows of one chunk and of the background,
+    each with the growth buffer ``np.fromiter`` fills."""
+    F = request.model.n_features
+    chunk = _chunk_rows(F)
+    m = 0 if request.background is None else len(request.background)
+    return projected_peak_bytes(request, chunk_rows=chunk) + 16 * F * (chunk + m)
+
+
+def _explain_streamed(config: RunConfig, request) -> None:
+    model = request.model
+    if config.threads < 1:
+        raise ValidationError("threads must be >= 1")
+    if config.memory_budget_bytes is not None:
+        projected = _projected_stream_bytes(request)
+        if projected > config.memory_budget_bytes:
+            raise BudgetExceededError(
+                f"projected peak {projected} bytes exceeds budget {config.memory_budget_bytes}"
+            )
+    prepared = prepare(request, depth_cap=config.depth_cap)
+    start = 0
+    with _replacing(config.output_path) as fh:
+        fh.write(_values_header(model.n_features, config.functional))
+        for X in _csv_chunks(config.consumer_path, _chunk_rows(model.n_features)):
+            result = prepared.rows(X)
+            fh.writelines(_value_lines(result, start))
+            start += len(X)
+            del X, result  # freed before the next chunk is parsed
+    log.info("explained %d rows in chunks", start)
 
 
 def cmd_explain(config: RunConfig) -> int:
-    """Explain every row of the consumer CSV and write one CSV row per consumer."""
+    """Explain every row of the consumer CSV and write one CSV row per consumer.
+
+    The run streams when the rows and output of one pass would cost more
+    bytes than :func:`prepare`'s products and one chunk of rows and output:
+    it prepares every leaf once, then parses, explains and writes the rows
+    ``CHUNK_VALUES`` values at a time.  Otherwise it parses every row and
+    makes one :func:`explain` call.  Both write the same bytes.
+    """
     model = _load_model(config)
     if config.consumer_path is None:
         raise ValidationError("--data is required")
     if config.output_path is None:
         raise ValidationError("--output is required")
-    header, X = _load_csv(config.consumer_path)
+    streamed = _streams(model, config.functional, _data_rows(config.consumer_path))
+    if streamed:
+        path = config.consumer_path
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            header = _csv_header(csv.reader(_utf8_lines(fh, path)), path)
+        X = None
+    else:
+        header, X = _load_csv(config.consumer_path)
     if model.feature_names is not None and header != model.feature_names:
         raise ValidationError("consumer CSV header does not match model feature names")
     background = None
@@ -205,6 +371,9 @@ def cmd_explain(config: RunConfig) -> int:
             raise ValidationError("background CSV header does not match model feature names")
 
     request = ExplainRequest(model, X, background, config.mode, config.functional)
+    if streamed:
+        _explain_streamed(config, request)
+        return 0
     result = explain(
         request,
         threads=config.threads,

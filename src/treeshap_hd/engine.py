@@ -1,17 +1,26 @@
 """Attribution pipeline: one tree walk x a value-matrix kernel, one leaf loop.
 
 Per tree, one walk (:func:`iter_leaf_patterns`) yields each leaf's consumer
-patterns with its background patterns or cover ratios.  Per leaf, the loop
-(1) builds the leaf's distribution f (empirical counts or cover-ratio
-products), (2) multiplies the leaf's per-position value matrices by it with
-a kernel, a block of max(1, max(n, 2^K) >> k) matrices per call for n
-consumer rows and K the model's largest k, and (3) scales the block by the
-leaf weight, gathers each consumer's entry of each product by its own
-pattern and adds it into one feature-major output, (F, n) or (F, F, n).
-The all-ones entry of f is the share of background rows (or of cover) that
-reaches the leaf, so the leaf adds weight x f[-1] to the base value.  The
-loop is serial: trees in model order, leaves depth-first, every leaf adding
-into the same output, so a run holds no per-tree results.
+patterns with its background patterns or cover ratios.  Each leaf then takes
+two steps:
+
+- **prepare** builds the leaf's distribution f (empirical counts or
+  cover-ratio products), adds its share of the base value, and multiplies the
+  leaf's per-position value matrices by f with a kernel, scaled by the leaf
+  weight.  The all-ones entry of f is the share of background rows (or of
+  cover) that reaches the leaf, so the leaf adds weight x f[-1] to the base
+  value.
+- **emit** gathers each consumer's entry of each product by its own pattern
+  and adds it into one feature-major output, (F, n) or (F, F, n).
+
+Only emit reads the consumer rows.  :func:`explain` takes both steps per
+block of max(1, max(n, 2^K) >> k) matrices, for n consumer rows and K the
+model's largest k, in one serial pass: trees in model order, leaves
+depth-first, every leaf adding into the same output, so a run holds no
+per-tree results.  :func:`prepare` takes the first step for every leaf once
+and keeps the products; :meth:`PreparedExplainer.rows` walks the trees on
+any consumer rows and takes the second, with the same bits as
+:func:`explain`.
 
 Two kernels share the loop.  :func:`explain` multiplies the cached secondary
 diagonals with the O(k 2^k) zeta kernel; :func:`explain_dense` multiplies the
@@ -73,11 +82,18 @@ DENSE_BASELINE_CAP = 12  # explain_dense enumerates 3^k cube entries per leaf
 # row, path-dependent; 2 KiB in background mode); the rest is margin.
 _INTERPRETER_BYTES = 64 << 10
 
+# prepare multiplies blocks of up to max(2^12, 2^K) entries, as explain does
+# for 2^12 consumer rows: the leaves of a depth-8 model take one kernel call
+# per run of matrices, and a block is at most 32 KiB beyond the deepest f
+_PREPARE_SPAN = 1 << 12
+
 
 @dataclass
 class ExplainRequest:
+    """What to explain; :func:`prepare` reads everything but ``consumers``."""
+
     model: EnsembleModel
-    consumers: np.ndarray
+    consumers: np.ndarray | None
     background: np.ndarray | None = None
     mode: str = BACKGROUND
     functional: str = SHAPLEY
@@ -100,13 +116,16 @@ def _checked_rows(rows, n_features, what):
     return X
 
 
-def _prepare(request: ExplainRequest):
+def _validated(request: ExplainRequest, *, consumers: bool = True):
+    """The request's model, consumer rows (None unless ``consumers``) and background rows."""
     if request.mode not in MODES:
         raise ValidationError(f"unknown mode {request.mode!r}")
     if request.functional not in (SHAPLEY, BANZHAF, INTERACTION):
         raise ValidationError(f"unknown functional {request.functional!r}")
     model = request.model
-    X = _checked_rows(request.consumers, model.n_features, "consumer dataset")
+    X = None
+    if consumers:
+        X = _checked_rows(request.consumers, model.n_features, "consumer dataset")
     B = None
     if request.mode == BACKGROUND:
         if request.background is None or len(request.background) == 0:
@@ -133,7 +152,32 @@ def _block_span(n: int, k_max: int) -> int:
     return max(n, 1 << k_max)
 
 
-def projected_peak_bytes(request: ExplainRequest, *, dense: bool = False) -> int:
+def _matrices_per_leaf(k: int, functional: str) -> int:
+    # interactions: k Shapley matrices and one per pair of positions
+    return k + k * (k - 1) // 2 if functional == INTERACTION else k
+
+
+def prepared_nbytes(model: EnsembleModel, functional: str) -> int:
+    """Bytes of the products :func:`prepare` keeps: 2^k doubles per matrix of every leaf."""
+    return sum(
+        count * _matrices_per_leaf(k, functional) * (8 << k)
+        for tree in model.trees
+        for k, count in tree.leaves_by_k.items()
+    )
+
+
+def output_nbytes(n: int, n_features: int, functional: str) -> int:
+    """Bytes of the output for n consumer rows, with what the interaction diagonal needs.
+
+    (F, n), or (F, F, n), the (F, n) Shapley buffer and the one (F, n)
+    temporary of the diagonal fill.
+    """
+    return 8 * n * n_features * (n_features + 2 if functional == INTERACTION else 1)
+
+
+def projected_peak_bytes(
+    request: ExplainRequest, *, dense: bool = False, chunk_rows: int | None = None
+) -> int:
     """Upper estimate of the bytes an :func:`explain` run allocates at its peak.
 
     Counts the kernel's tables (the diagonal cache, plus the Shapley cache for
@@ -141,10 +185,15 @@ def projected_peak_bytes(request: ExplainRequest, *, dense: bool = False) -> int
     builds and the cube table they come from), one leaf's working vectors and
     the pattern stacks of its tree walk, and the output, which every leaf adds
     into.  The consumer and background rows are not counted.
+
+    With ``chunk_rows``, the estimate is for a two-phase run instead:
+    :func:`prepare`, whose products it adds, then
+    :meth:`PreparedExplainer.rows` on chunks of at most ``chunk_rows`` rows,
+    one at a time; ``request.consumers`` is not read.
     """
     model = request.model
     interaction = request.functional == INTERACTION
-    n = len(request.consumers)
+    n = len(request.consumers) if chunk_rows is None else chunk_rows
     background = request.background if request.mode == BACKGROUND else None
     m = 0 if background is None else len(background)
     k_max = max((t.max_unique_features for t in model.trees), default=0)
@@ -159,31 +208,35 @@ def projected_peak_bytes(request: ExplainRequest, *, dense: bool = False) -> int
         tables = cache_nbytes(k_max, request.functional)
         if interaction:
             tables += cache_nbytes(k_max, SHAPLEY)
+    if chunk_rows is not None:
+        tables += prepared_nbytes(model, request.functional)
     # six 2^k_max vectors: a leaf's distribution, its bincount and the kernel's
     # vector, or the temporaries of building the cache's deepest level; a
     # block of products, at most max(n, 2^k_max) entries, with the zeta
     # passes' copy of up to 1.5 blocks; one gathered row; per dataset,
     # depth + 1 live pattern vectors and a split's temporaries
-    block = _block_span(n, k_max)
+    block = _block_span(n if chunk_rows is None else max(n, _PREPARE_SPAN), k_max)
     working = (48 << k_max) + 20 * block + 8 * n + 4 * (depth + 3) * (n + m)
-    F = model.n_features
-    # (F, n), or (F, F, n) and the (F, n) Shapley buffer; the diagonal fill
-    # of an interaction run sums the pair rows into one (F, n) temporary
-    output = 8 * n * F * (F + 2 if interaction else 1)
+    output = output_nbytes(n, model.n_features, request.functional)
     return _INTERPRETER_BYTES + tables + working + output
 
 
 class _Kernel(NamedTuple):
     """The value matrices the leaf loop multiplies, and the product that applies a block.
 
-    ``tables[k]`` is (the functional's matrices, the Shapley matrices for
-    interactions, the position pair of each interaction matrix);
+    ``tables[k]`` holds a leaf's runs of matrices in the order it emits them,
+    each (matrices, position pairs): for interactions the Shapley matrices
+    (pairs None) and then the pair matrices, else the functional's matrices.
     ``apply(mats, r0, r1, f)`` returns the (r1 - r0, 2^k) products of
     matrices r0..r1-1 with f.
     """
 
     tables: dict
     apply: Callable
+
+
+def _runs(main, shap, pairs) -> tuple:
+    return ((shap, None), (main, pairs)) if shap is not None else ((main, None),)
 
 
 def _diagonal_kernel(k_max: int, functional: str, cap: int) -> _Kernel:
@@ -195,7 +248,7 @@ def _diagonal_kernel(k_max: int, functional: str, cap: int) -> _Kernel:
             shap = build_diagonal_cache(k_max, SHAPLEY, cap=cap)
     # for interactions, the position pairs in the order the cache's rows hold them
     tables = {
-        k: (
+        k: _runs(
             main.levels[k],
             shap.levels[k] if shap else None,
             list(combinations(range(k), 2)) if shap else None,
@@ -208,66 +261,111 @@ def _diagonal_kernel(k_max: int, functional: str, cap: int) -> _Kernel:
     return _Kernel(tables, lambda level, r0, r1, f: diagonal_matvec(level[r0:r1], f))
 
 
-def _leaf_loop(request, model, X, B, kernel, *, depth_cap):
-    """The leaf loop both entry points share; ``kernel`` supplies the value matrices.
+def _walk(model, X, B, depth_cap, prepare_leaf, *args) -> float:
+    """The one tree walk; returns the base value.
 
-    One serial pass over the trees in model order and their leaves in
-    depth-first order adds each leaf's scaled, gathered products straight
-    into one feature-major output, (F, n), or (F, F, n) with an (F, n)
-    Shapley buffer for interactions, one contiguous row add per product.
-    Each tree's share of the base value is summed apart and added in model
-    order.  The values returned are the (n, F) or (n, F, F) transposed view
-    of that output.
+    Per leaf, builds its distribution f and adds its share of the base value,
+    then, for a leaf with features, calls ``prepare_leaf(item, f, *args)``.
+    Trees go in model order and leaves depth-first; each tree's share is
+    summed apart and added in model order.
     """
-    F = model.n_features
-    n = X.shape[0]
-    span = _block_span(n, max(kernel.tables, default=0))
-    interaction = request.functional == INTERACTION
-    out = np.zeros((F, F, n) if interaction else (F, n))
-    phi = np.zeros((F, n)) if interaction else None
-    apply = kernel.apply
-    base_total = 0.0  # the trees' shares of the base value
+    base_total = 0.0
     for tree in model.trees:
         base = 0.0
         for item in iter_leaf_patterns(tree, X, B, covers=B is None, cap=depth_cap):
-            feats = item.features
-            k = len(feats)
             if B is not None:
-                f = background_distribution(item.background, k)
+                f = background_distribution(item.background, len(item.features))
             else:
                 f = path_dependent_distribution(item.ratios)
-            w = item.leaf.weight
-            base += w * f[-1]  # f[-1]: the share that reaches the leaf
-            if k == 0:
-                continue  # constant leaf: contributes to the base value only
-            main, shap, pairs = kernel.tables[k]
-            pc = item.patterns
-            block = max(1, span >> k)
-            # interactions: the Shapley rows into phi, then the pair rows into out
-            runs = ((shap, phi, None), (main, out, pairs)) if interaction else ((main, out, None),)
-            for level, acc, level_pairs in runs:
-                rows = len(level)
-                for r0 in range(0, rows, block):
-                    G = apply(level, r0, min(r0 + block, rows), f)
-                    G *= w
-                    for r, g in enumerate(G, r0):
-                        t = g[pc]
-                        if level_pairs is None:
-                            acc[feats[r]] += t
-                        else:
-                            j1, j2 = level_pairs[r]
-                            acc[feats[j1], feats[j2]] += t
-                            acc[feats[j2], feats[j1]] += t
-                        del t  # freed before the next row's gather allocates
-                    del G, g
+            base += item.leaf.weight * f[-1]  # f[-1]: the share that reaches the leaf
+            if item.features:
+                prepare_leaf(item, f, *args)
             del f  # freed before the next leaf's distribution is built
         base_total += base
+    return float(model.base_score + base_total)
 
-    if interaction:
-        idx = np.arange(F)
-        np.subtract(phi, out.sum(axis=1), out=phi)
-        out[idx, idx] = phi
-    return AttributionResult(np.moveaxis(out, -1, 0), float(model.base_score + base_total))
+
+class _Output:
+    """The feature-major output leaves add into, for n consumer rows.
+
+    (F, n), or for interactions (F, F, n) with an (F, n) Shapley buffer; one
+    contiguous row add per product.
+    """
+
+    __slots__ = ("out", "phi")
+
+    def __init__(self, n_features: int, n: int, interaction: bool):
+        F = n_features
+        self.out = np.zeros((F, F, n) if interaction else (F, n))
+        self.phi = np.zeros((F, n)) if interaction else None
+
+    def emit(self, features, pairs, P, r0, pc, w=None) -> None:
+        """The emit step: gathers row r of P, the product of matrix r0 + r, at the
+        consumer patterns pc, scales it by w if given, and adds it into the
+        output: a pair's row into both of its entries, an interaction run's
+        Shapley row into the buffer."""
+        acc = self.phi if pairs is None and self.phi is not None else self.out
+        for r, g in enumerate(P, r0):
+            t = g[pc]
+            if w is not None:
+                t *= w
+            if pairs is None:
+                acc[features[r]] += t
+            else:
+                j1, j2 = pairs[r]
+                acc[features[j1], features[j2]] += t
+                acc[features[j2], features[j1]] += t
+            del t  # freed before the next row's gather allocates
+
+    def values(self) -> np.ndarray:
+        """The (n, F) or (n, F, F) transposed view of the output.
+
+        An interaction row's diagonal entry is its Shapley value less its pair
+        values.  Those are summed pair by pair: numpy's sum over the pair axis
+        adds in another order when n is 1, and no row's bits may depend on how
+        many rows there are.
+        """
+        out = self.out
+        if self.phi is not None:
+            pair_sums = out[:, 0].copy()
+            for j in range(1, out.shape[1]):
+                pair_sums += out[:, j]
+            np.subtract(self.phi, pair_sums, out=self.phi)
+            del pair_sums
+            idx = np.arange(out.shape[0])
+            out[idx, idx] = self.phi
+        return np.moveaxis(out, -1, 0)
+
+
+def _leaf_loop(request, model, X, B, kernel, *, depth_cap):
+    """The one-pass leaf loop both entry points share; ``kernel`` supplies the matrices.
+
+    Each leaf takes the prepare and emit steps block by block.  A block's
+    products are scaled by the leaf weight before the gather, unless their
+    rows are longer than n: then each gathered row is scaled instead, the
+    same products from fewer multiplies.
+    """
+    n = X.shape[0]
+    span = _block_span(n, max(kernel.tables, default=0))
+    output = _Output(model.n_features, n, request.functional == INTERACTION)
+    base_value = _walk(model, X, B, depth_cap, _prepare_and_emit, kernel, span, output)
+    return AttributionResult(output.values(), base_value)
+
+
+def _prepare_and_emit(item, f, kernel, span, output):
+    # a function of the module, not a closure, so a run allocates no cells for it
+    k = len(item.features)
+    w = item.leaf.weight
+    block = max(1, span >> k)
+    scale_rows = (1 << k) > len(item.patterns)
+    for level, pairs in kernel.tables[k]:
+        rows = len(level)
+        for r0 in range(0, rows, block):
+            G = kernel.apply(level, r0, min(r0 + block, rows), f)
+            if not scale_rows:
+                G *= w
+            output.emit(item.features, pairs, G, r0, item.patterns, w if scale_rows else None)
+            del G
 
 
 def explain(
@@ -291,7 +389,7 @@ def explain(
     """
     if threads < 1:
         raise ValidationError("threads must be >= 1")
-    model, X, B = _prepare(request)
+    model, X, B = _validated(request)
     k_max = _max_unique_features(model, depth_cap)
     if memory_budget_bytes is not None:
         projected = projected_peak_bytes(request)
@@ -301,6 +399,82 @@ def explain(
             )
     kernel = _diagonal_kernel(k_max, request.functional, depth_cap)
     return _leaf_loop(request, model, X, B, kernel, depth_cap=depth_cap)
+
+
+class PreparedExplainer:
+    """Every leaf's prepared products, for explaining any consumer rows later.
+
+    Made by :func:`prepare`.  ``base_value`` is the run's base value and
+    ``nbytes`` the bytes of the products it holds
+    (:func:`prepared_nbytes`).
+    """
+
+    def __init__(self, model, functional, runs, products, base_value, depth_cap):
+        self._model = model
+        self._interaction = functional == INTERACTION
+        self._runs = runs  # k -> per run, (matrices, position pairs)
+        self._products = products  # every leaf's runs in walk order, flat
+        self._depth_cap = depth_cap
+        self.base_value = base_value
+        self.nbytes = products.nbytes
+
+    def rows(self, consumers) -> AttributionResult:
+        """Attributions for these consumer rows, bit-identical to :func:`explain`'s.
+
+        Walks the trees on the consumer rows only and takes each leaf's emit
+        step over its prepared products.  Each row's values do not depend on
+        the other rows, so rows may come in chunks of any size.
+        """
+        model = self._model
+        X = _checked_rows(consumers, model.n_features, "consumer dataset")
+        output = _Output(model.n_features, X.shape[0], self._interaction)
+        products = self._products
+        pos = 0
+        for tree in model.trees:
+            for item in iter_leaf_patterns(tree, X, cap=self._depth_cap):
+                k = len(item.features)
+                for rows, pairs in self._runs.get(k, ()):
+                    end = pos + (rows << k)
+                    P = products[pos:end].reshape(rows, 1 << k)
+                    output.emit(item.features, pairs, P, 0, item.patterns)
+                    pos = end
+        return AttributionResult(output.values(), self.base_value)
+
+
+def prepare(request: ExplainRequest, *, depth_cap: int = DEFAULT_FEATURE_CAP) -> PreparedExplainer:
+    """The consumer-free half of :func:`explain`: every leaf's prepare step, once.
+
+    Walks the trees with the background rows (or the covers) alone and keeps
+    each leaf's products with its value matrices, scaled by its weight, in
+    walk order: :func:`prepared_nbytes` bytes.  ``request.consumers`` is not
+    read.  The products and the base value are those :func:`explain` computes,
+    with the same kernel adds and multiplies.
+    """
+    model, _, B = _validated(request, consumers=False)
+    k_max = _max_unique_features(model, depth_cap)
+    kernel = _diagonal_kernel(k_max, request.functional, depth_cap)
+    products = np.empty(prepared_nbytes(model, request.functional) // 8)
+    span = _block_span(_PREPARE_SPAN, k_max)
+    pos = 0
+
+    def prepare_leaf(item, f):
+        nonlocal pos
+        k = len(item.features)
+        block = max(1, span >> k)
+        for level, _pairs in kernel.tables[k]:
+            rows = len(level)
+            for r0 in range(0, rows, block):
+                r1 = min(r0 + block, rows)
+                end = pos + ((r1 - r0) << k)
+                G = kernel.apply(level, r0, r1, f)
+                np.multiply(G, item.leaf.weight, out=products[pos:end].reshape(r1 - r0, -1))
+                pos = end
+                del G
+
+    no_rows = np.empty((0, model.n_features))
+    base_value = _walk(model, no_rows, B, depth_cap, prepare_leaf)
+    runs = {k: tuple((len(level), pairs) for level, pairs in t) for k, t in kernel.tables.items()}
+    return PreparedExplainer(model, request.functional, runs, products, base_value, depth_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +643,7 @@ def _sparse_tables(k: int, functional: str):
 
 def _dense_kernel(k_max: int, functional: str) -> _Kernel:
     """Regression anchor: the sparse value matrices, O(3^k) per product."""
-    tables = {k: _sparse_tables(k, functional) for k in range(1, k_max + 1)}
+    tables = {k: _runs(*_sparse_tables(k, functional)) for k in range(1, k_max + 1)}
     return _Kernel(tables, lambda mats, r0, r1, f: np.stack([m.dot(f) for m in mats[r0:r1]]))
 
 
@@ -481,6 +655,6 @@ def explain_dense(
     Regression anchor for the fast path: the matrices are assembled from the
     cube table entry by entry and multiplied sparsely, no diagonals involved.
     """
-    model, X, B = _prepare(request)
+    model, X, B = _validated(request)
     kernel = _dense_kernel(_max_unique_features(model, depth_cap), request.functional)
     return _leaf_loop(request, model, X, B, kernel, depth_cap=depth_cap)

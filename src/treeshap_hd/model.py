@@ -56,20 +56,25 @@ class SplitNode:
 
 @dataclass(eq=False)
 class DecisionTree:
-    """A proper binary tree; depth statistics are derived at construction."""
+    """A proper binary tree; depth statistics are derived at construction.
+
+    ``leaves_by_k[k]`` counts the leaves whose paths hold k distinct features.
+    """
 
     root: SplitNode | Leaf
     max_path_depth: int = field(init=False)
     max_unique_features: int = field(init=False)
+    leaves_by_k: dict[int, int] = field(init=False)
 
     def __post_init__(self) -> None:
         depth = 0
-        unique = 0
+        self.leaves_by_k = {}
         for _leaf, path in _paths_from(self.root):
             depth = max(depth, len(path))
-            unique = max(unique, len(dict.fromkeys(n.feature for n in path)))
+            k = len(dict.fromkeys(n.feature for n in path))
+            self.leaves_by_k[k] = self.leaves_by_k.get(k, 0) + 1
         self.max_path_depth = depth
-        self.max_unique_features = unique
+        self.max_unique_features = max(self.leaves_by_k)
 
 
 @dataclass(eq=False)

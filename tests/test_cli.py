@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import treeshap_hd
+import treeshap_hd.cli as cli_module
 import treeshap_hd.engine as engine_module
 from treeshap_hd.cli import (
     RunConfig,
@@ -520,3 +522,159 @@ def test_non_utf8_lightgbm_dump_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(model) in err and "not a UTF-8" in err
+
+
+def _stream_setup(tmp_path, mode, n_rows=121):
+    # a small model whose prepared products cost less than 121 rows and their
+    # output, so with 10-row chunks the run streams, in 13 chunks
+    model = random_model(2, max_depth=3, n_features=4, n_trees=3, base_score=0.3)
+    save_canonical(model, tmp_path / "model.json")
+    rng = np.random.default_rng(5)
+    X = random_dataset(rng, n_rows, 4)
+    B = random_dataset(rng, 9, 4) if mode == "background" else None
+    header = [f"f{i}" for i in range(4)]
+    write_csv(tmp_path / "d.csv", header, X.tolist())
+    argv = [
+        "explain", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "d.csv"),
+        "--mode", mode, "--output", str(tmp_path / "out.csv"),
+    ]
+    if B is not None:
+        write_csv(tmp_path / "b.csv", header, B.tolist())
+        argv += ["--background", str(tmp_path / "b.csv")]
+    return model, X, B, argv
+
+
+@pytest.fixture
+def ten_row_chunks(monkeypatch):
+    monkeypatch.setattr(cli_module, "CHUNK_VALUES", 40)  # 10 rows of 4 features
+
+
+@pytest.mark.parametrize("mode", ["background", "path-dependent"])
+@pytest.mark.parametrize("functional", ["shapley", "banzhaf", "interaction"])
+def test_streamed_explain_matches_reference_writer(tmp_path, monkeypatch, ten_row_chunks, functional, mode):
+    model, X, B, argv = _stream_setup(tmp_path, mode)
+    result = explain(ExplainRequest(model, X, B, mode, functional))
+    want = tmp_path / "want.csv"
+    write_values_csv_reference(want, result.values, result.base_value, functional == INTERACTION)
+
+    def one_pass(*args, **kwargs):
+        raise AssertionError("the run should stream")
+
+    monkeypatch.setattr(cli_module, "explain", one_pass)
+    assert main(argv + ["--values", functional]) == 0
+    assert (tmp_path / "out.csv").read_bytes() == want.read_bytes()
+
+
+def test_output_symlink_is_written_through(stump_setup, tmp_path):
+    # the output replaces a regular file, but a symlink (or /dev/stdout) is
+    # written through, as a plain open would
+    model, data, background = stump_setup
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("earlier output\n")
+    link.symlink_to(target)
+    argv = ["explain", "--model", str(model), "--data", str(data), "--background", str(background)]
+    assert main(argv + ["--output", str(link)]) == 0
+    assert main(argv + ["--output", str(tmp_path / "plain.csv")]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_streamed_threads_must_be_positive(tmp_path, ten_row_chunks):
+    _model, _X, _B, argv = _stream_setup(tmp_path, "background")
+    assert main(argv + ["--threads", "0"]) == 2
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_deep_model_explains_in_one_pass(tmp_path, monkeypatch, ten_row_chunks):
+    # a depth-10 spine's products (about 250 KB: k rows of 2^k doubles per
+    # leaf) cost more than 121 rows and their output: no streaming
+    deep = deep_path_model(10, 0)
+    save_canonical(deep, tmp_path / "deep.json")
+    X = random_dataset(np.random.default_rng(2), 121, 10)
+    write_csv(tmp_path / "deep.csv", [f"f{i}" for i in range(10)], X.tolist())
+
+    def streamed(*args, **kwargs):
+        raise AssertionError("the run should not stream")
+
+    monkeypatch.setattr(cli_module, "prepare", streamed)
+    assert main([
+        "explain", "--model", str(tmp_path / "deep.json"), "--data", str(tmp_path / "deep.csv"),
+        "--mode", "path-dependent", "--output", str(tmp_path / "out.csv"),
+    ]) == 0
+    result = explain(ExplainRequest(deep, X, None, "path-dependent", SHAPLEY))
+    write_values_csv_reference(tmp_path / "want.csv", result.values, result.base_value, False)
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "bad_row, words",
+    [(["0.5", "0.5", "abc", "0.5"], "row 120, column f2: 'abc' is not a number"),
+     (["0.5", "0.5", "0.5"], "row 120 has 3 cells, header has 4")],
+    ids=["not-a-number", "ragged"],
+)
+def test_streamed_bad_cell_in_last_chunk_exits_2(tmp_path, monkeypatch, capsys, bad_row, words):
+    _model, X, _B, argv = _stream_setup(tmp_path, "background")
+    rows = X.tolist()
+    rows[120] = bad_row  # the last chunk's one row, after twelve good chunks
+    write_csv(tmp_path / "d.csv", [f"f{i}" for i in range(4)], rows)
+    out = tmp_path / "out.csv"
+    # one pass, as today: the diagnostic names the cell's row in the file
+    assert main(argv) == 2
+    one_pass = capsys.readouterr().err
+    assert words in one_pass and not out.exists()
+
+    out.write_text("earlier output\n")
+    before = sorted(os.listdir(tmp_path))
+    monkeypatch.setattr(cli_module, "CHUNK_VALUES", 40)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == one_pass
+    # the partial output went to a temporary file, now removed
+    assert out.read_text() == "earlier output\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("functional", [SHAPLEY, INTERACTION])
+def test_streamed_budget_bounds_measured_peak(tmp_path, monkeypatch, functional):
+    model = random_model(0, max_depth=6, n_features=10, n_trees=10)
+    save_canonical(model, tmp_path / "model.json")
+    rng = np.random.default_rng(0)
+    header = [f"f{i}" for i in range(10)]
+    write_csv(tmp_path / "d.csv", header, random_dataset(rng, 3000, 10).tolist())
+    write_csv(tmp_path / "b.csv", header, random_dataset(rng, 100, 10).tolist())
+    monkeypatch.setattr(cli_module, "CHUNK_VALUES", 1 << 13)  # 819 rows: 4 chunks
+    # the model is loaded before tracing starts: the projection leaves it out
+    monkeypatch.setattr(cli_module, "_load_model", lambda config: model)
+    argv = [
+        "explain", "--model", "unused", "--data", str(tmp_path / "d.csv"),
+        "--background", str(tmp_path / "b.csv"), "--values", functional,
+        "--output", str(tmp_path / "out.csv"),
+    ]
+    request = ExplainRequest(model, None, np.zeros((100, 10)), "background", functional)
+    projected = cli_module._projected_stream_bytes(request)
+    assert cli_module._streams(model, functional, 3000)
+    # a first run fills the caches the argument parser and the CSV reader
+    # keep for the process, which the projection does not count either
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= projected <= 4 * peak, (peak, projected)
+
+    (tmp_path / "out.csv").unlink()
+    assert main(argv + ["--memory-budget", str(projected - 1)]) == 3
+    assert sorted(os.listdir(tmp_path)) == ["b.csv", "d.csv", "model.json"]
+
+    # a bad cell in the last row: the diagnosis reads the file again a row
+    # at a time, within the same projection
+    with open(tmp_path / "d.csv", "a", newline="") as fh:
+        fh.write("0.5,0.5,0.5,abc,0.5,0.5,0.5,0.5,0.5,0.5\r\n")
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= projected, (peak, projected)

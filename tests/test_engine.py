@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from treeshap_hd.engine import (
     brute_force_path_dependent,
     explain,
     explain_dense,
+    prepare,
+    prepared_nbytes,
     projected_peak_bytes,
 )
 from treeshap_hd.errors import (
@@ -25,6 +28,7 @@ from treeshap_hd.errors import (
     TooManyFeaturesError,
     TreeShapHDError,
 )
+from treeshap_hd.fastmult import count_operations
 from treeshap_hd.model import DecisionTree, EnsembleModel, Leaf, SplitNode
 from treeshap_hd.synthetic import deep_path_model, random_dataset, random_model
 
@@ -214,9 +218,30 @@ def test_values_do_not_depend_on_block_size(functional, mode):
     B = random_dataset(rng, 50, 20) if mode == BACKGROUND else None
     assert max(t.max_unique_features for t in model.trees) == 8
     many = explain(ExplainRequest(model, X, B, mode, functional))
-    few = explain(ExplainRequest(model, X[:4], B, mode, functional))
-    assert np.array_equal(few.values, many.values[:4])
-    assert few.base_value == many.base_value
+    # one row's interaction diagonal is summed in the order many rows' are
+    for rows in (4, 1):
+        few = explain(ExplainRequest(model, X[:rows], B, mode, functional))
+        assert np.array_equal(few.values, many.values[:rows])
+        assert few.base_value == many.base_value
+
+
+@pytest.mark.parametrize("mode", (BACKGROUND, PATH_DEPENDENT))
+@pytest.mark.parametrize("functional", ALL_FUNCTIONALS)
+def test_prepared_rows_match_explain(functional, mode):
+    # the same bits and base value from rows explained in uneven chunks,
+    # one of a single row, and the same kernel adds and multiplies
+    model = random_model(11, max_depth=7, n_features=9, n_trees=4, base_score=0.2)
+    request = request_for(model, 11, mode, functional, n=40, m=30)
+    with count_operations() as once:
+        want = explain(request)
+    with count_operations() as prepared_ops:
+        prepared = prepare(replace(request, consumers=None))
+    parts = [prepared.rows(request.consumers[a:b]) for a, b in ((0, 13), (13, 14), (14, 40))]
+    assert np.array_equal(np.concatenate([p.values for p in parts]), want.values)
+    assert all(p.base_value == want.base_value for p in parts)
+    assert prepared.base_value == want.base_value
+    assert (prepared_ops.adds, prepared_ops.muls) == (once.adds, once.muls) != (0, 0)
+    assert prepared.nbytes == prepared_nbytes(model, functional)
 
 
 def test_blocks_fill_the_projected_span(monkeypatch):
@@ -363,15 +388,29 @@ def test_trees_add_into_one_output(functional, threads):
     assert growth < output_bytes, (growth, output_bytes)
 
 
-@pytest.mark.parametrize("functional", (SHAPLEY, BANZHAF))
-@pytest.mark.parametrize("k", (17, 18))
-def test_deep_spine_matches_bruteforce(k, functional):
-    # k >= 17 runs the zeta passes in chunked order
+def _deep_spine_cases():
+    # path-dependent cases keep their "k-functional" ids; background ones add the mode
+    for k in (17, 18, 19):
+        for functional in (BANZHAF, SHAPLEY):
+            yield pytest.param(k, functional, PATH_DEPENDENT, id=f"{k}-{functional}")
+            yield pytest.param(k, functional, BACKGROUND, id=f"{k}-{functional}-{BACKGROUND}")
+
+
+@pytest.mark.parametrize("k, functional, mode", _deep_spine_cases())
+def test_deep_spine_matches_bruteforce(k, functional, mode):
+    # k >= 17 runs the zeta passes in chunked order; at k = 19 the leaves'
+    # 2^19-entry rows are longer than the rows explained, so each gathered
+    # row is scaled by the leaf weight instead of the block
     model = deep_path_model(k, 0)
-    X = random_dataset(np.random.default_rng(k), 2, k)
-    result = explain(ExplainRequest(model, X, None, PATH_DEPENDENT, functional))
+    rng = np.random.default_rng(k)
+    X = random_dataset(rng, 2, k)
+    B = random_dataset(rng, 2, k) if mode == BACKGROUND else None
+    result = explain(ExplainRequest(model, X, B, mode, functional))
     for r in range(2):
-        want, base = brute_force_path_dependent(model, X[r], functional, max_active=k)
+        if B is None:
+            want, base = brute_force_path_dependent(model, X[r], functional, max_active=k)
+        else:
+            want, base = brute_force_background(model, X[r], B, functional, max_active=k)
         np.testing.assert_allclose(result.values[r], want, rtol=0, atol=1e-8)
         assert result.base_value == pytest.approx(base, abs=1e-8)
 
