@@ -30,13 +30,15 @@ the scope costs more than those copies.  A block that fits in one chunk
 a multiply, which matters where per-call costs do.  Rows longer than one
 chunk no longer fit in L2 with their operands, so their passes go in
 cache-sized order: every pass with bit < 2^16 on one chunk of a row, chunk
-after chunk, then the passes with larger bits over the whole block; a block
-of shorter rows goes through its passes 2^16 doubles of whole rows at a
-time.  ``diagonal_matvec`` fills each chunk from f, or multiplies it by its
-chunk of the diagonal, just before that chunk's low passes.  No low pass
-reaches outside its chunk, so every entry still gets the same additions of
-the same operands in the same order, and the bits and op counts are those
-of the plain pass-by-pass order.
+after chunk, then the passes with larger bits one column slice at a time:
+those passes pair the entries at the same offset in every chunk of the
+block, so a slice of offsets, about one chunk of entries, takes them all in
+L2.  A block of shorter rows goes through its passes 2^16 doubles of whole
+rows at a time.  ``diagonal_matvec`` fills each chunk from f, or multiplies
+it by its chunk of the diagonal, just before that chunk's low passes.  No
+low pass reaches outside its chunk, so every entry still gets the same
+additions of the same operands in the same order, and the bits and op
+counts are those of the plain pass-by-pass order.
 """
 
 from __future__ import annotations
@@ -86,6 +88,9 @@ def _require_power_of_two(n: int) -> None:
 _UNBUFFERED = 1 << 12
 _BUFSIZE = 64
 _CHUNK = 1 << 16
+# the passes with bit >= _CHUNK go over column slices at least this many
+# doubles wide (see _high_pass_views)
+_MIN_SLICE = 1 << 9
 
 
 def _pass_views(flat: np.ndarray, lo: int, hi: int) -> tuple:
@@ -112,6 +117,33 @@ def _pass_views(flat: np.ndarray, lo: int, hi: int) -> tuple:
     return uppers, lowers, orders, flat.size >> 1
 
 
+def _high_pass_views(flat: np.ndarray, n: int) -> list:
+    # the views of the passes with bit >= _CHUNK on the rows of flat, n
+    # doubles long, one column slice at a time.  These passes pair entries a
+    # multiple of _CHUNK apart, so at the same offset in their chunks: the
+    # entries at one slice of offsets, in every chunk of the block, take all
+    # of these passes while they stay in L2, then the next slice's entries
+    # do, instead of the whole block streaming through once per pass.  A
+    # slice is the widest power of two, down to _MIN_SLICE, that keeps its
+    # entries within one chunk's size.  Each entry takes the same additions
+    # in the same order as in a pass-by-pass run.
+    width = _CHUNK
+    while width > _MIN_SLICE and flat.size // _CHUNK * width > _CHUNK:
+        width >>= 1
+    adds = (flat.size >> 1) // (_CHUNK // width)  # of one pass on one slice
+    slices = []
+    for s in range(0, _CHUNK, width):
+        uppers, lowers = [], []
+        runs = 1  # the pass's bit, in chunks
+        while runs * _CHUNK < n:
+            w = flat.reshape(-1, 2, runs, _CHUNK)[..., s : s + width]
+            uppers.append(w[:, 1])
+            lowers.append(w[:, 0])
+            runs <<= 1
+        slices.append((uppers, lowers, ["K"] * len(uppers), adds))
+    return slices
+
+
 def _run(uppers, lowers, orders, adds: int) -> None:
     # each pass is one np.add into the upper half's view (``+=`` on a view
     # would also write it back onto itself)
@@ -126,14 +158,14 @@ def _transforms(v: np.ndarray, prepares) -> None:
     # per entry of prepares, in pieces of at most _CHUNK doubles that never
     # straddle two rows: part of a row when n > _CHUNK, else whole rows.
     # Each piece gets its passes with bit < _CHUNK in turn, then the passes
-    # with bit >= _CHUNK run over the whole block: each entry still takes the
-    # same additions in the same order, as no low pass reaches outside its
-    # piece.  A prepare that is not None is called as prepare(rows, cols)
-    # right before the low passes of piece v2[rows, cols] of the (rows, n)
-    # view v2.  A piece's views are built as it comes, so few view objects
-    # are alive at once; a block that is one piece builds them once for every
-    # transform.  Every view is of v itself: on a copy the additions would be
-    # lost silently.
+    # with bit >= _CHUNK run one column slice at a time (_high_pass_views):
+    # each entry still takes the same additions in the same order, as no low
+    # pass reaches outside its piece.  A prepare that is not None is called
+    # as prepare(rows, cols) right before the low passes of piece
+    # v2[rows, cols] of the (rows, n) view v2.  A piece's views are built as
+    # it comes, so few view objects are alive at once; a block that is one
+    # piece builds them once for every transform.  Every view is of v itself:
+    # on a copy the additions would be lost silently.
     n = v.shape[-1]
     flat = v.reshape(-1)
     v2 = flat.reshape(-1, n)
@@ -146,7 +178,7 @@ def _transforms(v: np.ndarray, prepares) -> None:
         pieces = [(slice(i, i + step), slice(None)) for i in range(0, len(v2), step)]
     low = min(n, _CHUNK)
     block = _pass_views(flat, 1, low) if len(pieces) == 1 else None
-    high = _pass_views(flat, low, n) if n > _CHUNK else None
+    high = _high_pass_views(flat, n) if n > _CHUNK else ()
     # numpy's iterator would copy the mid passes' operands through its
     # buffer; errstate restores the setting (a contextvar) on the way out.
     # On smaller blocks the scope costs more than the copies it saves
@@ -159,8 +191,8 @@ def _transforms(v: np.ndarray, prepares) -> None:
                 if prepare is not None:
                     prepare(rows, cols)
                 _run(*(block or _pass_views(v2[rows, cols].reshape(-1), 1, low)))
-            if high:
-                _run(*high)
+            for views in high:
+                _run(*views)
 
 
 def _zeta_inplace(v: np.ndarray) -> None:
