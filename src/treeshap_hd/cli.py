@@ -152,24 +152,6 @@ def _load_csv(path):
         return header, _read_rows(reader, header, path)
 
 
-def _csv_chunks(path, chunk_rows):
-    """The data rows of a headered CSV, ``chunk_rows`` at a time, as arrays.
-
-    Each chunk is parsed as :func:`_load_csv` parses a file, and a bad cell
-    in any chunk is named with its row in the whole file.
-    """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(_utf8_lines(fh, path))
-        header = _csv_header(reader, path)
-        while True:
-            X = _read_rows(reader, header, path, chunk_rows)
-            if not len(X):
-                return
-            yield X
-            if len(X) < chunk_rows:
-                return
-
-
 def _load_csv_cells(path):
     """Cell-by-cell reader: the first offending cell in row-major order."""
     rows = _cell_rows(path)
@@ -284,13 +266,6 @@ def _value_lines(result, start=0):
     return (row_format % (row_id, *row.tolist()) for row_id, row in enumerate(values, start))
 
 
-def _write_values_csv(path, result, n_features, functional):
-    """One CSV row per consumer: ``row_id``, ``base_value``, then the values."""
-    with _replacing(path) as fh:
-        fh.write(_values_header(n_features, functional))
-        fh.writelines(_value_lines(result))
-
-
 def _chunk_rows(n_features) -> int:
     return max(1, CHUNK_VALUES // n_features)
 
@@ -306,82 +281,82 @@ def _streams(model, functional, n) -> bool:
     return n > chunk and state + rows_and_output(chunk) < rows_and_output(n)
 
 
-def _projected_stream_bytes(request) -> int:
-    """The budget figure of a streamed run: the engine's two-phase projection for
-    one chunk's rows, plus the parsed rows of one chunk and of the background,
-    each with the growth buffer ``np.fromiter`` fills."""
-    F = request.model.n_features
-    chunk = _chunk_rows(F)
+def _projected_bytes(request, chunk_rows=None) -> int:
+    """The budget figure of an explain run: the engine's projection
+    (:func:`projected_peak_bytes`, for chunks of ``chunk_rows`` rows when
+    given), plus the parsed consumer rows (``request.consumers``, or one chunk)
+    and background rows, each with the growth buffer ``np.fromiter`` fills."""
+    n = len(request.consumers) if chunk_rows is None else chunk_rows
     m = 0 if request.background is None else len(request.background)
-    return projected_peak_bytes(request, chunk_rows=chunk) + 16 * F * (chunk + m)
+    parsed = 16 * request.model.n_features * (n + m)
+    return projected_peak_bytes(request, chunk_rows=chunk_rows) + parsed
 
 
-def _explain_streamed(config: RunConfig, request) -> None:
-    model = request.model
-    if config.threads < 1:
-        raise ValidationError("threads must be >= 1")
-    if config.memory_budget_bytes is not None:
-        projected = _projected_stream_bytes(request)
-        if projected > config.memory_budget_bytes:
-            raise BudgetExceededError(
-                f"projected peak {projected} bytes exceeds budget {config.memory_budget_bytes}"
-            )
-    prepared = prepare(request, depth_cap=config.depth_cap)
-    start = 0
-    with _replacing(config.output_path) as fh:
-        fh.write(_values_header(model.n_features, config.functional))
-        for X in _csv_chunks(config.consumer_path, _chunk_rows(model.n_features)):
-            result = prepared.rows(X)
-            fh.writelines(_value_lines(result, start))
-            start += len(X)
-            del X, result  # freed before the next chunk is parsed
-    log.info("explained %d rows in chunks", start)
+def _check_budget(budget, request, chunk_rows=None) -> None:
+    if budget is not None:
+        projected = _projected_bytes(request, chunk_rows)
+        if projected > budget:
+            raise BudgetExceededError(f"projected peak {projected} bytes exceeds budget {budget}")
 
 
 def cmd_explain(config: RunConfig) -> int:
     """Explain every row of the consumer CSV and write one CSV row per consumer.
 
-    The run streams when the rows and output of one pass would cost more
-    bytes than :func:`prepare`'s products and one chunk of rows and output:
-    it prepares every leaf once, then parses, explains and writes the rows
-    ``CHUNK_VALUES`` values at a time.  Otherwise it parses every row and
-    makes one :func:`explain` call.  Both write the same bytes.
+    One loop parses, explains and writes the rows.  The run streams when the
+    rows and output of one pass would cost more bytes than :func:`prepare`'s
+    products and one chunk of rows and output: it prepares every leaf once,
+    then takes ``CHUNK_VALUES`` values at a time through
+    :meth:`PreparedExplainer.rows`.  Otherwise every row is one chunk for one
+    :func:`explain` call.  Both write the same bytes.  ``--memory-budget`` is
+    checked against :func:`_projected_bytes` before :func:`prepare`, or once
+    the whole file's rows are parsed.
     """
     model = _load_model(config)
     if config.consumer_path is None:
         raise ValidationError("--data is required")
     if config.output_path is None:
         raise ValidationError("--output is required")
-    streamed = _streams(model, config.functional, _data_rows(config.consumer_path))
-    if streamed:
-        path = config.consumer_path
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            header = _csv_header(csv.reader(_utf8_lines(fh, path)), path)
-        X = None
-    else:
-        header, X = _load_csv(config.consumer_path)
-    if model.feature_names is not None and header != model.feature_names:
-        raise ValidationError("consumer CSV header does not match model feature names")
-    background = None
-    if config.mode == BACKGROUND:
-        if config.background_path is None:
-            raise ValidationError("--background is required in background mode")
-        bg_header, background = _load_csv(config.background_path)
-        if model.feature_names is not None and bg_header != model.feature_names:
-            raise ValidationError("background CSV header does not match model feature names")
-
-    request = ExplainRequest(model, X, background, config.mode, config.functional)
-    if streamed:
-        _explain_streamed(config, request)
-        return 0
-    result = explain(
-        request,
-        threads=config.threads,
-        memory_budget_bytes=config.memory_budget_bytes,
-        depth_cap=config.depth_cap,
-    )
-    log.info("explained %d rows", len(X))
-    _write_values_csv(config.output_path, result, model.n_features, config.functional)
+    if config.threads < 1:
+        raise ValidationError("threads must be >= 1")
+    path = config.consumer_path
+    streamed = _streams(model, config.functional, _data_rows(path))
+    chunk = _chunk_rows(model.n_features) if streamed else None
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(_utf8_lines(fh, path))
+        header = _csv_header(reader, path)
+        if model.feature_names is not None and header != model.feature_names:
+            raise ValidationError("consumer CSV header does not match model feature names")
+        background = None
+        if config.mode == BACKGROUND:
+            if config.background_path is None:
+                raise ValidationError("--background is required in background mode")
+            bg_header, background = _load_csv(config.background_path)
+            if model.feature_names is not None and bg_header != model.feature_names:
+                raise ValidationError("background CSV header does not match model feature names")
+        request = ExplainRequest(model, None, background, config.mode, config.functional)
+        if streamed:
+            _check_budget(config.memory_budget_bytes, request, chunk)
+            prepared = prepare(request, depth_cap=config.depth_cap)
+        X = _read_rows(reader, header, path, chunk)
+        if not streamed:
+            request.consumers = X
+            _check_budget(config.memory_budget_bytes, request)
+        start = 0
+        with _replacing(config.output_path) as out:
+            out.write(_values_header(model.n_features, config.functional))
+            while True:
+                if streamed:
+                    result = prepared.rows(X)
+                else:
+                    result = explain(request, depth_cap=config.depth_cap)
+                out.writelines(_value_lines(result, start))
+                start += len(X)
+                last = not streamed or len(X) < chunk
+                del X, result  # freed before the next chunk is parsed
+                if last:
+                    break
+                X = _read_rows(reader, header, path, chunk)
+    log.info("explained %d rows", start)
     return 0
 
 

@@ -261,13 +261,14 @@ def _diagonal_kernel(k_max: int, functional: str, cap: int) -> _Kernel:
     return _Kernel(tables, lambda level, r0, r1, f: diagonal_matvec(level[r0:r1], f))
 
 
-def _walk(model, X, B, depth_cap, prepare_leaf, *args) -> float:
-    """The one tree walk; returns the base value.
+def _walk(model, X, B, depth_cap, kernel, span, sink) -> float:
+    """The one tree walk and leaf body; returns the base value.
 
     Per leaf, builds its distribution f and adds its share of the base value,
-    then, for a leaf with features, calls ``prepare_leaf(item, f, *args)``.
-    Trees go in model order and leaves depth-first; each tree's share is
-    summed apart and added in model order.
+    then, for a leaf with features, takes the prepare step block by block and
+    hands each block to ``sink.emit`` (:func:`_prepare_and_emit`).  Trees go
+    in model order and leaves depth-first; each tree's share is summed apart
+    and added in model order.
     """
     base_total = 0.0
     for tree in model.trees:
@@ -279,7 +280,7 @@ def _walk(model, X, B, depth_cap, prepare_leaf, *args) -> float:
                 f = path_dependent_distribution(item.ratios)
             base += item.leaf.weight * f[-1]  # f[-1]: the share that reaches the leaf
             if item.features:
-                prepare_leaf(item, f, *args)
+                _prepare_and_emit(item, f, kernel, span, sink)
             del f  # freed before the next leaf's distribution is built
         base_total += base
     return float(model.base_score + base_total)
@@ -337,22 +338,43 @@ class _Output:
         return np.moveaxis(out, -1, 0)
 
 
-def _leaf_loop(request, model, X, B, kernel, *, depth_cap):
-    """The one-pass leaf loop both entry points share; ``kernel`` supplies the matrices.
+class _Products:
+    """The sink :func:`prepare` gives the leaf body: every block, times the leaf
+    weight, into one flat buffer in walk order.
 
-    Each leaf takes the prepare and emit steps block by block.  A block's
-    products are scaled by the leaf weight before the gather, unless their
-    rows are longer than n: then each gathered row is scaled instead, the
-    same products from fewer multiplies.
+    With no consumer rows, every block's rows are longer than n, so the leaf
+    body always passes the weight.
     """
+
+    __slots__ = ("flat", "pos")
+
+    def __init__(self, size: int):
+        self.flat = np.empty(size)
+        self.pos = 0
+
+    def emit(self, features, pairs, P, r0, pc, w) -> None:
+        end = self.pos + P.size
+        np.multiply(P, w, out=self.flat[self.pos:end].reshape(P.shape))
+        self.pos = end
+
+
+def _leaf_loop(request, model, X, B, kernel, *, depth_cap):
+    """The one-pass run both entry points share; ``kernel`` supplies the matrices."""
     n = X.shape[0]
     span = _block_span(n, max(kernel.tables, default=0))
     output = _Output(model.n_features, n, request.functional == INTERACTION)
-    base_value = _walk(model, X, B, depth_cap, _prepare_and_emit, kernel, span, output)
+    base_value = _walk(model, X, B, depth_cap, kernel, span, output)
     return AttributionResult(output.values(), base_value)
 
 
-def _prepare_and_emit(item, f, kernel, span, output):
+def _prepare_and_emit(item, f, kernel, span, sink):
+    """The leaf body: the products of the leaf's matrices with f, a block at a time.
+
+    A block's products are scaled by the leaf weight before they go to
+    ``sink.emit``, unless their rows are longer than n: then the weight goes
+    with them, and the sink scales each gathered row instead, the same
+    products from fewer multiplies.
+    """
     # a function of the module, not a closure, so a run allocates no cells for it
     k = len(item.features)
     w = item.leaf.weight
@@ -364,7 +386,7 @@ def _prepare_and_emit(item, f, kernel, span, output):
             G = kernel.apply(level, r0, min(r0 + block, rows), f)
             if not scale_rows:
                 G *= w
-            output.emit(item.features, pairs, G, r0, item.patterns, w if scale_rows else None)
+            sink.emit(item.features, pairs, G, r0, item.patterns, w if scale_rows else None)
             del G
 
 
@@ -453,28 +475,12 @@ def prepare(request: ExplainRequest, *, depth_cap: int = DEFAULT_FEATURE_CAP) ->
     model, _, B = _validated(request, consumers=False)
     k_max = _max_unique_features(model, depth_cap)
     kernel = _diagonal_kernel(k_max, request.functional, depth_cap)
-    products = np.empty(prepared_nbytes(model, request.functional) // 8)
     span = _block_span(_PREPARE_SPAN, k_max)
-    pos = 0
-
-    def prepare_leaf(item, f):
-        nonlocal pos
-        k = len(item.features)
-        block = max(1, span >> k)
-        for level, _pairs in kernel.tables[k]:
-            rows = len(level)
-            for r0 in range(0, rows, block):
-                r1 = min(r0 + block, rows)
-                end = pos + ((r1 - r0) << k)
-                G = kernel.apply(level, r0, r1, f)
-                np.multiply(G, item.leaf.weight, out=products[pos:end].reshape(r1 - r0, -1))
-                pos = end
-                del G
-
+    sink = _Products(prepared_nbytes(model, request.functional) // 8)
     no_rows = np.empty((0, model.n_features))
-    base_value = _walk(model, no_rows, B, depth_cap, prepare_leaf)
+    base_value = _walk(model, no_rows, B, depth_cap, kernel, span, sink)
     runs = {k: tuple((len(level), pairs) for level, pairs in t) for k, t in kernel.tables.items()}
-    return PreparedExplainer(model, request.functional, runs, products, base_value, depth_cap)
+    return PreparedExplainer(model, request.functional, runs, sink.flat, base_value, depth_cap)
 
 
 # ---------------------------------------------------------------------------

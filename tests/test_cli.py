@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,8 @@ from treeshap_hd.cli import (
     _bench_request,
     _load_csv,
     _load_csv_cells,
-    _write_values_csv,
+    _value_lines,
+    _values_header,
     cmd_bench,
     main,
 )
@@ -51,6 +53,12 @@ def stump_setup(tmp_path, stump_model):
     write_csv(data, ["x0", "x1"], [[0.2, 0.3]])
     write_csv(background, ["x0", "x1"], [[0.9, 0.1]])
     return model_path, data, background
+
+
+def write_values_csv(path, result, n_features, functional):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(_values_header(n_features, functional))
+        fh.writelines(_value_lines(result))
 
 
 def read_output(path):
@@ -166,7 +174,7 @@ def test_values_csv_matches_csv_writer_bytes(tmp_path, functional, n_rows):
     )
     result = explain(request)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    _write_values_csv(got, result, 4, functional)
+    write_values_csv(got, result, 4, functional)
     write_values_csv_reference(want, result.values, result.base_value, functional == INTERACTION)
     assert got.read_bytes() == want.read_bytes()
 
@@ -176,7 +184,7 @@ def test_values_csv_round_trips_edge_values(tmp_path):
     values = np.array([special, special[::-1]])
     result = AttributionResult(values, -0.0)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    _write_values_csv(got, result, len(special), SHAPLEY)
+    write_values_csv(got, result, len(special), SHAPLEY)
     write_values_csv_reference(want, values, -0.0, False)
     assert got.read_bytes() == want.read_bytes()
     assert got.read_bytes().count(b"\r\n") == 3
@@ -650,7 +658,7 @@ def test_streamed_budget_bounds_measured_peak(tmp_path, monkeypatch, functional)
         "--output", str(tmp_path / "out.csv"),
     ]
     request = ExplainRequest(model, None, np.zeros((100, 10)), "background", functional)
-    projected = cli_module._projected_stream_bytes(request)
+    projected = cli_module._projected_bytes(request, cli_module._chunk_rows(10))
     assert cli_module._streams(model, functional, 3000)
     # a first run fills the caches the argument parser and the CSV reader
     # keep for the process, which the projection does not count either
@@ -678,3 +686,68 @@ def test_streamed_budget_bounds_measured_peak(tmp_path, monkeypatch, functional)
     finally:
         tracemalloc.stop()
     assert peak <= projected, (peak, projected)
+
+
+def test_whole_file_budget_counts_parsed_rows(tmp_path, monkeypatch):
+    # 5,000 rows of a depth-8 spine explain in one call; the budget figure
+    # counts their parsed bytes, which the engine's projection leaves out
+    model = deep_path_model(8, 0)
+    X = random_dataset(np.random.default_rng(3), 5000, 8)
+    write_csv(tmp_path / "d.csv", [f"f{i}" for i in range(8)], X.tolist())
+    monkeypatch.setattr(cli_module, "_load_model", lambda config: model)
+    argv = [
+        "explain", "--model", "unused", "--data", str(tmp_path / "d.csv"),
+        "--mode", "path-dependent", "--output", str(tmp_path / "out.csv"),
+    ]
+    request = ExplainRequest(model, X, None, "path-dependent", SHAPLEY)
+    assert not cli_module._streams(model, SHAPLEY, 5000)
+    assert main(argv + ["--memory-budget", str(projected_peak_bytes(request) + 1)]) == 3
+    assert sorted(os.listdir(tmp_path)) == ["d.csv"]
+
+    figure = cli_module._projected_bytes(request)
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= figure <= 4 * peak, (peak, figure)
+
+
+def test_piped_rows_take_the_whole_file_loop(tmp_path, monkeypatch, ten_row_chunks):
+    # a pipe cannot be counted before it is read: its rows are one chunk,
+    # and the budget figure counts them once parsed
+    model, X, B, argv = _stream_setup(tmp_path, "background")
+    assert main(argv) == 0  # 121 rows in a regular file: streamed
+    want = (tmp_path / "out.csv").read_bytes()
+    (tmp_path / "out.csv").unlink()
+    pipe = tmp_path / "pipe.csv"
+    os.mkfifo(pipe)
+    data = (tmp_path / "d.csv").read_bytes()
+    argv[argv.index("--data") + 1] = str(pipe)
+
+    def run(extra):
+        def feed():
+            with open(pipe, "wb") as fh:
+                fh.write(data)
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        code = main(argv + extra)
+        feeder.join(timeout=60)
+        assert not feeder.is_alive()
+        return code
+
+    def streamed(*args, **kwargs):
+        raise AssertionError("piped rows should not stream")
+
+    monkeypatch.setattr(cli_module, "prepare", streamed)
+    assert run([]) == 0
+    assert (tmp_path / "out.csv").read_bytes() == want
+
+    figure = cli_module._projected_bytes(ExplainRequest(model, X, B, "background", SHAPLEY))
+    (tmp_path / "out.csv").unlink()
+    assert run(["--memory-budget", str(figure - 1)]) == 3
+    assert not (tmp_path / "out.csv").exists()
+    assert run(["--memory-budget", str(figure)]) == 0
