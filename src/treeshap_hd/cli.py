@@ -53,6 +53,8 @@ log = logging.getLogger("treeshap_hd")
 # Consumer values a streamed explain parses, explains and writes at a time:
 # 3,276 rows of 20 features, 512 KiB of parsed rows
 CHUNK_VALUES = 1 << 16
+# CSV values parsed in one stream; a bad cell is worded from its block's rows
+_PARSE_VALUES = 1 << 9
 
 
 @dataclass
@@ -118,30 +120,34 @@ def _csv_header(reader, path):
     return header
 
 
-def _read_rows(reader, header, path, limit=None):
+def _read_rows(reader, header, path, limit=None, first=0):
     """The next ``limit`` data rows (all for None) as a (rows, columns) array.
 
-    Every cell goes through ``float()`` in one stream into the array.  Rows
-    that fail anywhere are diagnosed by :func:`_cell_rows`, the only code
-    that words a diagnostic: it reads the file again from the start, a row
-    at a time, and names the first offending cell in the whole file.
+    ``first`` is the first one's index among the file's data rows.  Each
+    block of ``_PARSE_VALUES`` values goes through ``float()`` in one stream;
+    a failing block is diagnosed cell by cell from its own rows
+    (:func:`_parsed_row`), so no input is read twice, and as every earlier
+    block parsed clean, the first offending cell in row-major order is named.
     """
-
-    def rows():
-        for row in islice(reader, limit):
-            if len(row) != len(header):
+    step = max(1, _PARSE_VALUES // len(header))
+    blocks, read = [], 0
+    while limit is None or read < limit:
+        rows = list(islice(reader, step if limit is None else min(step, limit - read)))
+        if not rows:
+            break
+        try:
+            if set(map(len, rows)) != {len(header)}:
                 raise ValueError("row length differs from the header's")
-            yield row
-
-    try:
-        X = np.fromiter(map(float, chain.from_iterable(rows())), dtype=np.float64)
-    except ValueError:
-        X = None
-    if X is None or not np.isfinite(X).all():
-        for _row in _cell_rows(path):
-            pass
-        raise ParseError(f"{path}: rows fail to parse, but no cell is at fault")
-    return X.reshape(-1, len(header))
+            X = np.fromiter(map(float, chain.from_iterable(rows)), dtype=np.float64)
+        except ValueError:
+            X = None
+        if X is None or not np.isfinite(X).all():
+            for r, row in enumerate(rows, first + read):
+                _parsed_row(r, row, header, path)
+            raise ParseError(f"{path}: rows fail to parse, but no cell is at fault")
+        blocks.append(X.reshape(-1, len(header)))
+        read += len(rows)
+    return np.concatenate([np.empty((0, len(header))), *blocks])
 
 
 def _load_csv(path):
@@ -154,40 +160,31 @@ def _load_csv(path):
 
 def _load_csv_cells(path):
     """Cell-by-cell reader: the first offending cell in row-major order."""
-    rows = _cell_rows(path)
-    header = next(rows)
-    data = list(rows)
-    X = np.array(data, dtype=np.float64).reshape(len(data), len(header))
-    return header, X
-
-
-def _cell_rows(path):
-    """Yields the header, then each row's values, checked cell by cell.
-
-    Raises for the first offending cell in row-major order, naming its row
-    among the data rows and its column.
-    """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
         header = _csv_header(reader, path)
-        yield header
-        for r, row in enumerate(reader):
-            if len(row) != len(header):
-                raise ValidationError(f"{path}: row {r} has {len(row)} cells, header has {len(header)}")
-            parsed = []
-            for c, cell in enumerate(row):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: row {r}, column {header[c]}: {cell!r} is not a number"
-                    ) from None
-                if v != v:
-                    raise ValidationError(f"{path}: row {r}, column {header[c]}: NaN value")
-                if v in (float("inf"), float("-inf")):
-                    raise ValidationError(f"{path}: row {r}, column {header[c]}: non-finite value")
-                parsed.append(v)
-            yield parsed
+        data = [_parsed_row(r, row, header, path) for r, row in enumerate(reader)]
+    return header, np.array(data, dtype=np.float64).reshape(len(data), len(header))
+
+
+def _parsed_row(r, row, header, path):
+    """Data row r's values; raises for its first offending cell, naming row r and its column."""
+    if len(row) != len(header):
+        raise ValidationError(f"{path}: row {r} has {len(row)} cells, header has {len(header)}")
+    parsed = []
+    for c, cell in enumerate(row):
+        try:
+            v = float(cell)
+        except ValueError:
+            raise ValidationError(
+                f"{path}: row {r}, column {header[c]}: {cell!r} is not a number"
+            ) from None
+        if v != v:
+            raise ValidationError(f"{path}: row {r}, column {header[c]}: NaN value")
+        if v in (float("inf"), float("-inf")):
+            raise ValidationError(f"{path}: row {r}, column {header[c]}: non-finite value")
+        parsed.append(v)
+    return parsed
 
 
 def _data_rows(path) -> int:
@@ -355,7 +352,7 @@ def cmd_explain(config: RunConfig) -> int:
                 del X, result  # freed before the next chunk is parsed
                 if last:
                     break
-                X = _read_rows(reader, header, path, chunk)
+                X = _read_rows(reader, header, path, chunk, start)
     log.info("explained %d rows", start)
     return 0
 
@@ -433,7 +430,7 @@ def _bench_one(config: RunConfig, request, depth: int, method: str, repeats: int
         with count_operations() as ops:
             start = time.perf_counter()
             if method == "hd":
-                explain(request, depth_cap=config.depth_cap)
+                explain(request, depth_cap=config.depth_cap, _store_all=True)
             else:
                 explain_dense(request, depth_cap=DENSE_BASELINE_CAP)
             elapsed = time.perf_counter() - start
@@ -455,12 +452,13 @@ def cmd_bench(
 ) -> tuple[int, BenchReport]:
     """Time the full pipeline on deep-spine models at each depth.
 
-    Each record carries ``projected_bytes``, the run's
-    :func:`projected_peak_bytes`: an upper estimate of its peak, not a
-    measurement.  Dense runs past the baseline cap (reason ``dense_cap``),
-    and configurations whose projection exceeds the budget (reason
-    ``budget``), are skipped with a recorded reason instead of run.  scipy is
-    imported before the first dense run, so no timed run pays its import.
+    ``hd`` runs store every diagonal level, the paper's layout.  Each record
+    carries ``projected_bytes``, the run's :func:`projected_peak_bytes` for
+    its layout: an upper estimate of its peak, not a measurement.  Dense runs
+    past the baseline cap (reason ``dense_cap``), and configurations whose
+    projection exceeds the budget (reason ``budget``), are skipped with a
+    recorded reason instead of run.  scipy is imported before the first dense
+    run, so no timed run pays its import.
     """
     report = BenchReport()
     budget = config.memory_budget_bytes
@@ -473,7 +471,9 @@ def cmd_bench(
             if method == "dense" and depth > DENSE_BASELINE_CAP:
                 skip = {"reason": "dense_cap"}
             else:
-                projected = projected_peak_bytes(request, dense=method == "dense")
+                projected = projected_peak_bytes(
+                    request, dense=method == "dense", _store_all=method == "hd"
+                )
                 if budget is not None and projected > budget:
                     skip = {"reason": "budget", "projected_bytes": projected}
             if skip is not None:

@@ -9,8 +9,9 @@ against definitional enumeration in the test suite before anything downstream
 trusts it.
 
 The diagonal cache holds, per unique-feature count k, the secondary diagonal
-of every per-position value matrix.  An explain run builds one in memory up
-to its deepest leaf's k; nothing stores it.
+of every per-position value matrix.  An explain run stores its levels up to
+k = 16 and, for deeper leaves, has the kernel generate each chunk of a row
+from the level's popcount tables (``_generated_level``); nothing keeps them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DepthCapError, InvalidPairError, ValidationError
+from .fastmult import _SignedRows, _sign_plan
 from .patterns import DEFAULT_FEATURE_CAP
 
 SHAPLEY = "shapley"
@@ -203,34 +205,46 @@ def build_diagonal_cache(
 
 
 def _diagonal_level(k: int, kind: str) -> np.ndarray:
-    # Position j's literal sign is bit s = k-1-j of the row index, so the
-    # (-1, 2, 2^s) view of a row splits it into the rows with the bit clear
-    # ([:, 0, :]) and set ([:, 1, :]).  Each row starts as the clear-bit
-    # values and copies the set-bit values over through that view.
+    # the rows of _generated_level(k, kind): each starts as its all-clear
+    # table and copies the other sign cases over through _sign_plan's views
+    rows = _generated_level(k, kind)
+    out = np.empty(rows.shape)
+    for row, bits in zip(out, rows.bits):
+        shape, _, cases = _sign_plan(bits, 1 << k)
+        row[...] = rows.tables[cases[0][0]]
+        for signs, index, _axes in cases[1:]:
+            table = rows.tables[signs]
+            row.reshape(shape)[index] = table if isinstance(table, float) else table.reshape(shape)[index]
+    return out
+
+
+# the 2^k-entry tables _generated_level gathers per level (Banzhaf's are scalars)
+_GENERATED_TABLES = {SHAPLEY: 2, INTERACTION: 3, BANZHAF: 0}
+
+
+def _generated_level(k: int, kind: str) -> _SignedRows:
+    """Level k of the cache as popcount tables, for the kernel to build chunk by chunk.
+
+    A value depends only on the row's literal signs (position j's is bit
+    k-1-j of the row index a) and p = popcount(a): Shapley takes ``neg`` or
+    ``pos`` by its position's sign, interactions ``both_neg``, ``mixed`` or
+    ``both_pos`` by the pair's two, and Banzhaf one scalar per sign.
+    """
+    pairs = combinations(range(k), 2) if kind == INTERACTION else ((j,) for j in range(k))
+    bits = [tuple(k - 1 - j for j in row) for row in pairs]
     if kind == BANZHAF:
-        out = np.empty((k, 1 << k), dtype=np.float64)
         magnitude = 2.0 ** (1 - k)
-        for j in range(k):
-            out[j] = -magnitude
-            out[j].reshape(-1, 2, 1 << (k - 1 - j))[:, 1] = magnitude
-        return out
+        return _SignedRows(bits, {(0,): -magnitude, (1,): magnitude}, 1 << k)
     n_pos = np.bitwise_count(np.arange(1 << k, dtype=np.uint32))  # positives in the diagonal cube
     if kind == SHAPLEY:
-        # value depends only on the literal sign and p = popcount(row)
-        pos_val = np.full(k + 1, np.nan)
-        neg_val = np.full(k + 1, np.nan)
+        pos = np.full(k + 1, np.nan)
+        neg = np.full(k + 1, np.nan)
         for p in range(k + 1):
             if p >= 1:
-                pos_val[p] = _ratio(p - 1, k - p, k)
+                pos[p] = _ratio(p - 1, k - p, k)
             if p <= k - 1:
-                neg_val[p] = -_ratio(p, k - p - 1, k)
-        pos, neg = pos_val[n_pos], neg_val[n_pos]
-        out = np.empty((k, 1 << k), dtype=np.float64)
-        for j in range(k):
-            shape = (-1, 2, 1 << (k - 1 - j))
-            out[j] = neg
-            out[j].reshape(shape)[:, 1] = pos.reshape(shape)[:, 1]
-        return out
+                neg[p] = -_ratio(p, k - p - 1, k)
+        return _SignedRows(bits, {(0,): neg[n_pos], (1,): pos[n_pos]}, 1 << k)
     both_pos = np.full(k + 1, np.nan)
     both_neg = np.full(k + 1, np.nan)
     mixed = np.full(k + 1, np.nan)
@@ -241,14 +255,6 @@ def _diagonal_level(k: int, kind: str) -> np.ndarray:
             both_neg[p] = _ratio(p, k - p - 2, k - 1)
         if 1 <= p <= k - 1:
             mixed[p] = -_ratio(p - 1, k - p - 1, k - 1)
-    pos, neg, mix = both_pos[n_pos], both_neg[n_pos], mixed[n_pos]
-    out = np.empty((k * (k - 1) // 2, 1 << k), dtype=np.float64)
-    for j1, j2 in combinations(range(k), 2):
-        # bits s1 = k-1-j1 > s2 = k-1-j2 as axes 1 and 3 of a 5-axis view
-        shape = (-1, 2, 1 << (j2 - j1 - 1), 2, 1 << (k - 1 - j2))
-        row = out[pair_index(k, j1, j2)]
-        row[...] = mix
-        view = row.reshape(shape)
-        view[:, 1, :, 1] = pos.reshape(shape)[:, 1, :, 1]
-        view[:, 0, :, 0] = neg.reshape(shape)[:, 0, :, 0]
-    return out
+    mix = mixed[n_pos]
+    tables = {(0, 0): both_neg[n_pos], (0, 1): mix, (1, 0): mix, (1, 1): both_pos[n_pos]}
+    return _SignedRows(bits, tables, 1 << k)

@@ -43,6 +43,8 @@ from .cubes import (
     BANZHAF,
     INTERACTION,
     SHAPLEY,
+    _GENERATED_TABLES,
+    _generated_level,
     build_diagonal_cache,
     cache_nbytes,
     cube_banzhaf,
@@ -81,6 +83,10 @@ DENSE_BASELINE_CAP = 12  # explain_dense enumerates 3^k cube entries per leaf
 # at 9 KiB left after a run (20 depth-10 interaction trees, 2,801 leaves, one
 # row, path-dependent; 2 KiB in background mode); the rest is margin.
 _INTERPRETER_BYTES = 64 << 10
+
+# levels up to this k are stored; a deeper level's rows are longer than one
+# kernel chunk, which the kernel builds from the level's popcount tables
+_STORED_K = 16
 
 # prepare multiplies blocks of up to max(2^12, 2^K) entries, as explain does
 # for 2^12 consumer rows: the leaves of a depth-8 model take one kernel call
@@ -176,15 +182,17 @@ def output_nbytes(n: int, n_features: int, functional: str) -> int:
 
 
 def projected_peak_bytes(
-    request: ExplainRequest, *, dense: bool = False, chunk_rows: int | None = None
+    request: ExplainRequest, *, dense: bool = False, chunk_rows: int | None = None, _store_all=False
 ) -> int:
     """Upper estimate of the bytes an :func:`explain` run allocates at its peak.
 
-    Counts the kernel's tables (the diagonal cache, plus the Shapley cache for
-    interactions; with ``dense``, the sparse matrices :func:`explain_dense`
-    builds and the cube table they come from), one leaf's working vectors and
-    the pattern stacks of its tree walk, and the output, which every leaf adds
-    into.  The consumer and background rows are not counted.
+    Counts the kernel's tables (the diagonal cache's levels up to k = 16, or
+    all with ``_store_all``, and the deepest generated level's popcount
+    tables, plus the same for Shapley values for interactions; with
+    ``dense``, the sparse matrices :func:`explain_dense` builds and the cube
+    table they come from), one leaf's working vectors and the pattern stacks
+    of its tree walk, and the output, which every leaf adds into.  The
+    consumer and background rows are not counted.
 
     With ``chunk_rows``, the estimate is for a two-phase run instead:
     :func:`prepare`, whose products it adds, then
@@ -205,9 +213,11 @@ def projected_peak_bytes(
         # the Python cube table each level is assembled from: 420-520 B an entry at k = 8-10
         tables += 640 * 3**k_max
     else:
-        tables = cache_nbytes(k_max, request.functional)
-        if interaction:
-            tables += cache_nbytes(k_max, SHAPLEY)
+        stored = k_max if _store_all else min(k_max, _STORED_K)
+        kinds = (request.functional, SHAPLEY) if interaction else (request.functional,)
+        tables = sum(cache_nbytes(stored, kind) for kind in kinds)
+        if k_max > stored:  # the deepest generated level's tables
+            tables += sum(_GENERATED_TABLES[kind] for kind in kinds) << (k_max + 3)
     if chunk_rows is not None:
         tables += prepared_nbytes(model, request.functional)
     # six 2^k_max vectors: a leaf's distribution, its bincount and the kernel's
@@ -224,41 +234,50 @@ def projected_peak_bytes(
 class _Kernel(NamedTuple):
     """The value matrices the leaf loop multiplies, and the product that applies a block.
 
-    ``tables[k]`` holds a leaf's runs of matrices in the order it emits them,
+    ``runs(k)`` returns a leaf's runs of matrices in the order it emits them,
     each (matrices, position pairs): for interactions the Shapley matrices
-    (pairs None) and then the pair matrices, else the functional's matrices.
-    ``apply(mats, r0, r1, f)`` returns the (r1 - r0, 2^k) products of
-    matrices r0..r1-1 with f.
+    (pairs None) and then the pair matrices, else the functional's matrices;
+    ``k_max`` is the largest k it serves.  ``apply(mats, r0, r1, f)``
+    returns the (r1 - r0, 2^k) products of matrices r0..r1-1 with f.
     """
 
-    tables: dict
+    runs: Callable
+    k_max: int
     apply: Callable
 
 
-def _runs(main, shap, pairs) -> tuple:
+def _runs(main, shap=None, pairs=None) -> tuple:
     return ((shap, None), (main, pairs)) if shap is not None else ((main, None),)
 
 
-def _diagonal_kernel(k_max: int, functional: str, cap: int) -> _Kernel:
-    """Fast path: one :func:`diagonal_matvec` per block of cached secondary diagonals."""
-    main = shap = None
-    if k_max:
-        main = build_diagonal_cache(k_max, functional, cap=cap)
-        if functional == INTERACTION:
-            shap = build_diagonal_cache(k_max, SHAPLEY, cap=cap)
-    # for interactions, the position pairs in the order the cache's rows hold them
-    tables = {
-        k: _runs(
-            main.levels[k],
-            shap.levels[k] if shap else None,
-            list(combinations(range(k), 2)) if shap else None,
-        )
-        for k in range(1, k_max + 1)
-    }
+def _diagonal_kernel(k_max: int, functional: str, cap: int, store_all: bool = False) -> _Kernel:
+    """Fast path: one :func:`diagonal_matvec` per block of secondary diagonals.
+
+    Levels up to ``_STORED_K`` (all with ``store_all``) are views of the cache;
+    a deeper level's tables are gathered when first needed, the last one kept.
+    """
+    stored = k_max if store_all else min(k_max, _STORED_K)
+    kinds = (functional, SHAPLEY) if functional == INTERACTION else (functional,)
+    caches = [build_diagonal_cache(stored, kind, cap=cap) for kind in kinds] if stored else []
+
+    def level_runs(k):
+        levels = [c.levels[k] for c in caches] if k <= stored else [_generated_level(k, t) for t in kinds]
+        # for interactions, the position pairs in the order the level's rows hold them
+        return _runs(*levels, pairs=list(combinations(range(k), 2)) if functional == INTERACTION else None)
+
+    tables = {k: level_runs(k) for k in range(1, stored + 1)}
+    current = {}  # the generated level in use, freed before the next is gathered
+
+    def runs(k):
+        if k not in tables and k not in current:
+            current.clear()
+            current[k] = level_runs(k)
+        return tables[k] if k in tables else current[k]
+
     # a lambda, so diagonal_matvec is looked up per call and a wrapper swapped
     # into this module (as the benchmark's trace does) takes effect; the row
-    # slice is a view of the cache level
-    return _Kernel(tables, lambda level, r0, r1, f: diagonal_matvec(level[r0:r1], f))
+    # slice is a view of the cache level, or shares the generated tables
+    return _Kernel(runs, k_max, lambda level, r0, r1, f: diagonal_matvec(level[r0:r1], f))
 
 
 def _walk(model, X, B, depth_cap, kernel, span, sink) -> float:
@@ -361,7 +380,7 @@ class _Products:
 def _leaf_loop(request, model, X, B, kernel, *, depth_cap):
     """The one-pass run both entry points share; ``kernel`` supplies the matrices."""
     n = X.shape[0]
-    span = _block_span(n, max(kernel.tables, default=0))
+    span = _block_span(n, kernel.k_max)
     output = _Output(model.n_features, n, request.functional == INTERACTION)
     base_value = _walk(model, X, B, depth_cap, kernel, span, output)
     return AttributionResult(output.values(), base_value)
@@ -380,7 +399,7 @@ def _prepare_and_emit(item, f, kernel, span, sink):
     w = item.leaf.weight
     block = max(1, span >> k)
     scale_rows = (1 << k) > len(item.patterns)
-    for level, pairs in kernel.tables[k]:
+    for level, pairs in kernel.runs(k):
         rows = len(level)
         for r0 in range(0, rows, block):
             G = kernel.apply(level, r0, min(r0 + block, rows), f)
@@ -396,6 +415,7 @@ def explain(
     threads: int = 1,
     memory_budget_bytes: int | None = None,
     depth_cap: int = DEFAULT_FEATURE_CAP,
+    _store_all: bool = False,
 ) -> AttributionResult:
     """Exact attributions for every consumer row.
 
@@ -407,19 +427,21 @@ def explain(
     and each row's values do not depend on the other rows.  ``threads`` is
     accepted and ignored (it must still be at least 1).  With
     ``memory_budget_bytes`` set, raises :class:`BudgetExceededError` before
-    any work when :func:`projected_peak_bytes` exceeds it.
+    any work when :func:`projected_peak_bytes` exceeds it.  ``_store_all``
+    stores every diagonal level, the layout ``bench`` times, with the same
+    bits.
     """
     if threads < 1:
         raise ValidationError("threads must be >= 1")
     model, X, B = _validated(request)
     k_max = _max_unique_features(model, depth_cap)
     if memory_budget_bytes is not None:
-        projected = projected_peak_bytes(request)
+        projected = projected_peak_bytes(request, _store_all=_store_all)
         if projected > memory_budget_bytes:
             raise BudgetExceededError(
                 f"projected peak {projected} bytes exceeds budget {memory_budget_bytes}"
             )
-    kernel = _diagonal_kernel(k_max, request.functional, depth_cap)
+    kernel = _diagonal_kernel(k_max, request.functional, depth_cap, _store_all)
     return _leaf_loop(request, model, X, B, kernel, depth_cap=depth_cap)
 
 
@@ -479,7 +501,11 @@ def prepare(request: ExplainRequest, *, depth_cap: int = DEFAULT_FEATURE_CAP) ->
     sink = _Products(prepared_nbytes(model, request.functional) // 8)
     no_rows = np.empty((0, model.n_features))
     base_value = _walk(model, no_rows, B, depth_cap, kernel, span, sink)
-    runs = {k: tuple((len(level), pairs) for level, pairs in t) for k, t in kernel.tables.items()}
+    pairs = {k: list(combinations(range(k), 2)) for k in range(1, k_max + 1)}
+    if request.functional == INTERACTION:
+        runs = {k: _runs(len(p), k, p) for k, p in pairs.items()}
+    else:
+        runs = {k: _runs(k) for k in pairs}
     return PreparedExplainer(model, request.functional, runs, sink.flat, base_value, depth_cap)
 
 
@@ -650,7 +676,7 @@ def _sparse_tables(k: int, functional: str):
 def _dense_kernel(k_max: int, functional: str) -> _Kernel:
     """Regression anchor: the sparse value matrices, O(3^k) per product."""
     tables = {k: _runs(*_sparse_tables(k, functional)) for k in range(1, k_max + 1)}
-    return _Kernel(tables, lambda mats, r0, r1, f: np.stack([m.dot(f) for m in mats[r0:r1]]))
+    return _Kernel(tables.get, k_max, lambda mats, r0, r1, f: np.stack([m.dot(f) for m in mats[r0:r1]]))
 
 
 def explain_dense(

@@ -751,3 +751,76 @@ def test_piped_rows_take_the_whole_file_loop(tmp_path, monkeypatch, ten_row_chun
     assert run(["--memory-budget", str(figure - 1)]) == 3
     assert not (tmp_path / "out.csv").exists()
     assert run(["--memory-budget", str(figure)]) == 0
+
+
+def _bad_cell_setup(tmp_path):
+    # a three-feature model and one consumer row whose middle cell is a word
+    model = random_model(2, max_depth=3, n_features=3, n_trees=2)
+    save_canonical(model, tmp_path / "model.json")
+    argv = [
+        sys.executable, "-m", "treeshap_hd.cli", "explain", "--model", str(tmp_path / "model.json"),
+        "--mode", "path-dependent", "--output", str(tmp_path / "out.csv"),
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(treeshap_hd.__file__)))
+    return argv, env, b"f0,f1,f2\n0.1,abc,0.3\n"
+
+
+def test_piped_bad_cell_is_named_without_reading_again(tmp_path):
+    # the diagnostic is worded from the rows already read: a FIFO cannot be
+    # opened a second time, so reading it again would wait for a new writer
+    argv, env, data = _bad_cell_setup(tmp_path)
+    pipe = tmp_path / "pipe.csv"
+    os.mkfifo(pipe)
+
+    def feed():
+        with open(pipe, "wb") as fh:
+            fh.write(data)
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    proc = subprocess.run(argv + ["--data", str(pipe)], env=env, capture_output=True, timeout=60)
+    feeder.join(timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.decode().strip() == f"treeshap-hd: {pipe}: row 0, column f1: 'abc' is not a number"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_stdin_bad_cell_is_named(tmp_path):
+    argv, env, data = _bad_cell_setup(tmp_path)
+    proc = subprocess.run(
+        argv + ["--data", "/dev/stdin"], env=env, input=data, capture_output=True, timeout=60
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.decode().strip() == "treeshap-hd: /dev/stdin: row 0, column f1: 'abc' is not a number"
+
+
+@pytest.mark.parametrize("bad", [(0, 0), (2, 1), (3, 0), (5, 1), (17, 1)])
+@pytest.mark.parametrize("cell", ["abc", "nan", "inf", None])
+def test_diagnostics_across_parse_blocks(tmp_path, monkeypatch, bad, cell):
+    # rows parse three at a time here: whichever block holds the offending
+    # cell, and whatever an earlier block of the chunk held, the first
+    # offending cell in row-major order is named, as the per-cell reader does
+    monkeypatch.setattr(cli_module, "_PARSE_VALUES", 6)
+    rows = random_dataset(np.random.default_rng(6), 20, 2).tolist()
+    r, c = bad
+    if cell is None:
+        rows[r] = rows[r][:1]  # a ragged row
+    else:
+        rows[r][c] = cell
+    rows[19][0] = "later"  # a second fault after the first is never named
+    path = tmp_path / "d.csv"
+    write_csv(path, ["x0", "x1"], rows)
+    with pytest.raises(ValidationError) as fast:
+        _load_csv(path)
+    with pytest.raises(ValidationError) as per_cell:
+        _load_csv_cells(path)
+    assert str(fast.value) == str(per_cell.value)
+    assert f"row {r}," in str(fast.value) or f"row {r} has" in str(fast.value)
+    # in chunks of four rows, each numbered from its first row in the file
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        with pytest.raises(ValidationError) as chunked:
+            for first in range(0, 20, 4):
+                assert cli_module._read_rows(reader, header, path, 4, first).shape == (4, 2)
+    assert str(chunked.value) == str(per_cell.value)

@@ -12,6 +12,8 @@ from treeshap_hd.cubes import (
     INTERACTION,
     SHAPLEY,
     Cube,
+    _GENERATED_TABLES,
+    _generated_level,
     _ratio,
     build_diagonal_cache,
     cache_nbytes,
@@ -280,3 +282,11 @@ def test_factorial_ratio_accuracy_up_to_cap():
             exact = Fraction(math.factorial(a) * math.factorial(b), math.factorial(a + b))
             got = _ratio(a, b, a + b)
             assert abs(got - float(exact)) <= 1e-14 * float(exact)
+
+
+@pytest.mark.parametrize("kind", [SHAPLEY, BANZHAF, INTERACTION])
+def test_generated_level_tables_match_their_count(kind):
+    # the projection counts _GENERATED_TABLES 2^k-entry tables per generated level
+    tables = _generated_level(6, kind).tables.values()
+    arrays = {id(t): t for t in tables if isinstance(t, np.ndarray)}.values()
+    assert sum(t.nbytes for t in arrays) == _GENERATED_TABLES[kind] * 8 << 6

@@ -361,6 +361,33 @@ def test_projected_peak_bounds_bench_peak(dense, depth):
     assert peak <= projected_peak_bytes(request, dense=dense), peak
 
 
+@pytest.mark.parametrize("depth, functional", ((19, SHAPLEY), (17, INTERACTION)))
+def test_projected_peak_bounds_generated_levels(depth, functional):
+    # past k = 16 the projection counts the stored levels and the deepest
+    # generated level's popcount tables, not the whole cache
+    request = _bench_request(RunConfig(seed=3, functional=functional), depth)
+    peak = _traced_peak(lambda: explain(request))
+    projected = projected_peak_bytes(request)
+    assert peak <= projected <= 4 * peak, (peak, projected)
+    assert projected < projected_peak_bytes(request, _store_all=True)
+
+
+@pytest.mark.parametrize("functional", ALL_FUNCTIONALS)
+def test_generated_levels_match_the_stored_layout(functional):
+    # k = 17 rows are generated chunk by chunk; storing every level gives
+    # the same values, base value, adds and multiplies
+    model = deep_path_model(17, 0)
+    X = random_dataset(np.random.default_rng(17), 3, 17)
+    request = ExplainRequest(model, X, None, PATH_DEPENDENT, functional)
+    with count_operations() as ops:
+        got = explain(request)
+    with count_operations() as stored_ops:
+        want = explain(request, _store_all=True)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.base_value == want.base_value
+    assert (ops.adds, ops.muls) == (stored_ops.adds, stored_ops.muls)
+
+
 def test_budget_counts_the_output():
     # the output and its Shapley buffer, 2000 x 16 x 17 doubles (4.35 MB),
     # exceed 4 MB; the cache and working vectors are far smaller
@@ -394,6 +421,8 @@ def _deep_spine_cases():
         for functional in (BANZHAF, SHAPLEY):
             yield pytest.param(k, functional, PATH_DEPENDENT, id=f"{k}-{functional}")
             yield pytest.param(k, functional, BACKGROUND, id=f"{k}-{functional}-{BACKGROUND}")
+    for functional in (BANZHAF, SHAPLEY):
+        yield pytest.param(20, functional, PATH_DEPENDENT, id=f"20-{functional}")
 
 
 @pytest.mark.parametrize("k, functional, mode", _deep_spine_cases())

@@ -1,11 +1,25 @@
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeshap_hd.cubes import SHAPLEY, build_diagonal_cache, cube_shapley, map_patterns_to_cubes
+from treeshap_hd.cubes import (
+    BANZHAF,
+    INTERACTION,
+    SHAPLEY,
+    Cube,
+    _diagonal_level,
+    _generated_level,
+    build_diagonal_cache,
+    cube_banzhaf,
+    cube_interaction,
+    cube_shapley,
+    map_patterns_to_cubes,
+    pair_index,
+)
 from treeshap_hd.errors import LayoutError, LengthError, SizeError, StructureError
 from treeshap_hd.fastmult import (
     _BUFSIZE,
@@ -292,3 +306,64 @@ def test_kernel_leaves_the_ufunc_buffer_size_alone():
         for before, after in pool.map(in_worker, range(4)):
             assert after == before
     assert np.getbufsize() == 8192  # numpy's default, outside every scope
+
+
+def _closed_form_rows(k, kind, bits):
+    # the diagonal rows with literal bits ``bits``, entry a evaluated by the
+    # per-cube closed forms on a diagonal cube with a's popcount of positive
+    # literals and a's signs at the row's positions (0, or 0 and 1)
+    value = {
+        SHAPLEY: lambda c: cube_shapley(c, 0),
+        BANZHAF: lambda c: cube_banzhaf(c, 0),
+        INTERACTION: lambda c: cube_interaction(c, 0, 1),
+    }[kind]
+    a = np.arange(1 << k)
+    n_pos = np.bitwise_count(a)
+    rows = np.empty((len(bits), 1 << k))
+    for row, row_bits in zip(rows, bits):
+        signs = [(a >> s) & 1 for s in row_bits]
+        case = signs[0] if len(signs) == 1 else 2 * signs[0] + signs[1]
+        for c, lead in enumerate(product((0, 1), repeat=len(row_bits))):
+            table = np.full(k + 1, np.nan)
+            for p in range(sum(lead), k - len(lead) + sum(lead) + 1):
+                positive = {j for j, s in enumerate(lead) if s}
+                positive |= set(range(len(lead), len(lead) + p - sum(lead)))
+                table[p] = value(Cube(positive, set(range(k)) - positive))
+            hit = case == c
+            row[hit] = table[n_pos[hit]]
+    return rows
+
+
+def _blocks_under_test(k, kind):
+    # one-row and multi-row blocks; for interactions, pairs with both bits
+    # below 16, both at or above it (k >= 18), and one on each side
+    if kind != INTERACTION:
+        return [(0, 1), (k - 1, k), (1, 6), (k - 4, k)]
+    singles = [pair_index(k, k - 2, k - 1), pair_index(k, 0, k - 1), pair_index(k, 0, 3)]
+    if k >= 18:
+        singles.append(pair_index(k, 0, 1))
+    rows = k * (k - 1) // 2
+    return [(r, r + 1) for r in singles] + [(0, 6), (rows - 4, rows)]
+
+
+@pytest.mark.parametrize("kind", (SHAPLEY, BANZHAF, INTERACTION))
+@pytest.mark.parametrize("k", (9, 17, 18, 19))
+def test_generated_rows_multiply_like_stored_rows(k, kind):
+    # rows longer than one 2^16-double chunk build each chunk of their
+    # diagonal from the level's popcount tables (at k = 9 a piece holds
+    # whole rows); the products, adds and multiplies are bit for bit those
+    # of the stored rows
+    generated = _generated_level(k, kind)
+    f = np.random.default_rng(k).normal(size=1 << k)
+    stored = _diagonal_level(k, kind) if kind != INTERACTION else None
+    for r0, r1 in _blocks_under_test(k, kind):
+        rows = generated[r0:r1]
+        want_rows = _closed_form_rows(k, kind, rows.bits)
+        if stored is not None:
+            assert np.array_equal(want_rows, stored[r0:r1])
+        with count_operations() as ops:
+            got = diagonal_matvec(rows, f)
+        with count_operations() as want_ops:
+            want = diagonal_matvec(want_rows, f)
+        assert got.tobytes() == want.tobytes(), (k, kind, r0, r1)
+        assert (ops.adds, ops.muls) == (want_ops.adds, want_ops.muls)
