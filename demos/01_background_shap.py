@@ -16,9 +16,9 @@ from treeshap_hd import (
     ExplainRequest,
     Leaf,
     SplitNode,
-    brute_force_background,
     explain,
 )
+from treeshap_hd.oracles import brute_force_background
 
 rng = np.random.default_rng(0)
 

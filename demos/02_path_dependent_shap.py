@@ -13,10 +13,10 @@ from treeshap_hd import (
     PATH_DEPENDENT,
     SHAPLEY,
     ExplainRequest,
-    brute_force_path_dependent,
     explain,
     load_lightgbm_text,
 )
+from treeshap_hd.oracles import brute_force_path_dependent
 
 dump = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures", "lightgbm_model.txt")
 model = load_lightgbm_text(dump)

@@ -16,10 +16,9 @@ from treeshap_hd import (
     build_diagonal_cache,
     count_operations,
     cube_shapley,
-    dense_from_diagonal,
     diagonal_matvec,
-    map_patterns_to_cubes,
 )
+from treeshap_hd.oracles import dense_from_diagonal, map_patterns_to_cubes
 
 k = 3
 table = map_patterns_to_cubes(["age", "bmi", "sugar"])

@@ -2,7 +2,9 @@
 
 The engine scales to deep trees by working per leaf with one bit per distinct
 path feature, caching only the secondary diagonals of the per-position value
-matrices, and multiplying them in O(2^k k) with a subset-zeta kernel.
+matrices, and multiplying them in O(2^k k) with a subset-zeta kernel.  The
+regression oracles it is checked against live in :mod:`treeshap_hd.oracles`;
+of them only ``explain_dense`` is also exported here.
 """
 
 from .cubes import (
@@ -15,8 +17,6 @@ from .cubes import (
     cube_banzhaf,
     cube_interaction,
     cube_shapley,
-    diagonal_cubes,
-    map_patterns_to_cubes,
     pair_index,
 )
 from .engine import (
@@ -25,10 +25,7 @@ from .engine import (
     AttributionResult,
     ExplainRequest,
     PreparedExplainer,
-    brute_force_background,
-    brute_force_path_dependent,
     explain,
-    explain_dense,
     prepare,
     prepared_nbytes,
     projected_peak_bytes,
@@ -54,9 +51,7 @@ from .errors import (
 )
 from .fastmult import (
     count_operations,
-    dense_from_diagonal,
     diagonal_matvec,
-    matvec_recursive,
     subset_zeta,
 )
 from .model import (
@@ -66,15 +61,14 @@ from .model import (
     SplitNode,
     load_canonical,
     load_lightgbm_text,
-    root_to_leaf_paths,
     save_canonical,
 )
+from .oracles import explain_dense
 from .patterns import (
     LeafPatterns,
     PatternMemoryStats,
     background_distribution,
     iter_leaf_patterns,
-    leaf_decision_patterns,
     path_dependent_distribution,
 )
 

@@ -25,13 +25,9 @@ import numpy as np
 from .cubes import BANZHAF, INTERACTION, SHAPLEY
 from .engine import (
     BACKGROUND,
-    DENSE_BASELINE_CAP,
     PATH_DEPENDENT,
     ExplainRequest,
-    brute_force_background,
-    brute_force_path_dependent,
     explain,
-    explain_dense,
     output_nbytes,
     prepare,
     prepared_nbytes,
@@ -45,6 +41,8 @@ from .errors import (
 )
 from .fastmult import count_operations
 from .model import load_canonical, load_lightgbm_text
+from .oracles import DENSE_BASELINE_CAP, brute_force_background, brute_force_path_dependent
+from .oracles import explain_dense, projected_dense_peak_bytes
 from .patterns import DEFAULT_FEATURE_CAP
 from .synthetic import deep_path_model, random_dataset, random_model
 
@@ -156,15 +154,6 @@ def _load_csv(path):
         reader = csv.reader(_utf8_lines(fh, path))
         header = _csv_header(reader, path)
         return header, _read_rows(reader, header, path)
-
-
-def _load_csv_cells(path):
-    """Cell-by-cell reader: the first offending cell in row-major order."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(_utf8_lines(fh, path))
-        header = _csv_header(reader, path)
-        data = [_parsed_row(r, row, header, path) for r, row in enumerate(reader)]
-    return header, np.array(data, dtype=np.float64).reshape(len(data), len(header))
 
 
 def _parsed_row(r, row, header, path):
@@ -454,7 +443,8 @@ def cmd_bench(
 
     ``hd`` runs store every diagonal level, the paper's layout.  Each record
     carries ``projected_bytes``, the run's :func:`projected_peak_bytes` for
-    its layout: an upper estimate of its peak, not a measurement.  Dense runs
+    its layout (:func:`projected_dense_peak_bytes` for ``dense``): an upper
+    estimate of its peak, not a measurement.  Dense runs
     past the baseline cap (reason ``dense_cap``), and configurations whose
     projection exceeds the budget (reason ``budget``), are skipped with a
     recorded reason instead of run.  scipy is imported before the first dense
@@ -471,9 +461,10 @@ def cmd_bench(
             if method == "dense" and depth > DENSE_BASELINE_CAP:
                 skip = {"reason": "dense_cap"}
             else:
-                projected = projected_peak_bytes(
-                    request, dense=method == "dense", _store_all=method == "hd"
-                )
+                if method == "dense":
+                    projected = projected_dense_peak_bytes(request)
+                else:
+                    projected = projected_peak_bytes(request, _store_all=True)
                 if budget is not None and projected > budget:
                     skip = {"reason": "budget", "projected_bytes": projected}
             if skip is not None:

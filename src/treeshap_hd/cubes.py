@@ -53,10 +53,6 @@ class Cube:
             return self.weight
         return 0.0
 
-    @property
-    def players(self) -> frozenset:
-        return self.positive | self.negative
-
 
 def _ratio(a: int, b: int, c: int) -> float:
     # a! * b! / c! computed exactly in integers; one correctly-rounded division
@@ -97,56 +93,6 @@ def cube_interaction(cube: Cube, i, j) -> float:
     if all(in_neg):
         return cube.weight * _ratio(p, q - 2, p + q - 1)
     return -cube.weight * _ratio(p - 1, q - 1, p + q - 1)
-
-
-# ---------------------------------------------------------------------------
-# pattern -> cube constructions
-# ---------------------------------------------------------------------------
-
-def map_patterns_to_cubes(features, cap: int = DEFAULT_FEATURE_CAP):
-    """Cube table {consumer pattern: {background pattern: Cube}}, 3^k entries.
-
-    Starting from the empty cube at (0, 0), each feature f expands an entry
-    three ways: consumer bit 1 / background bit 0 adds the positive literal f,
-    0/1 adds the negated literal, 1/1 adds nothing, and 0/0 never exists, so
-    entries live exactly where row | col is all ones.
-    """
-    features = list(features)
-    k = len(features)
-    if not 1 <= k <= cap:
-        raise DepthCapError(f"need 1 <= k <= {cap}, got {k}")
-    table = {0: {0: (frozenset(), frozenset())}}
-    for f in features:
-        expanded: dict[int, dict[int, tuple]] = {}
-        for pc, row in table.items():
-            for pb, (pos, neg) in row.items():
-                expanded.setdefault(2 * pc + 1, {})[2 * pb] = (pos | {f}, neg)
-                expanded.setdefault(2 * pc, {})[2 * pb + 1] = (pos, neg | {f})
-                expanded.setdefault(2 * pc + 1, {})[2 * pb + 1] = (pos, neg)
-        table = expanded
-    return {
-        pc: {pb: Cube(pos, neg) for pb, (pos, neg) in row.items()}
-        for pc, row in table.items()
-    }
-
-
-def diagonal_cubes(k: int, cap: int = DEFAULT_FEATURE_CAP):
-    """The 2^k cubes on the secondary diagonal: row a -> cube at column ~a.
-
-    Same expansion as :func:`map_patterns_to_cubes` minus the neither-literal
-    case; feature positions are the anonymous integers 0..k-1, bit k-1-j of
-    the row index holding position j's literal sign (set bit = positive).
-    """
-    if not 1 <= k <= cap:
-        raise DepthCapError(f"need 1 <= k <= {cap}, got {k}")
-    table = {0: (frozenset(), frozenset())}
-    for j in range(k):
-        expanded = {}
-        for a, (pos, neg) in table.items():
-            expanded[2 * a + 1] = (pos | {j}, neg)
-            expanded[2 * a] = (pos, neg | {j})
-        table = expanded
-    return {a: Cube(pos, neg) for a, (pos, neg) in table.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +139,8 @@ def build_diagonal_cache(
     """Evaluate the functional on every diagonal cube for every k in 1..depth.
 
     Closed forms are applied vectorized over the 2^k diagonal rows; the result
-    is bit-identical to looping :func:`diagonal_cubes` through the per-cube
-    functions (a property the tests assert).
+    is bit-identical to looping :func:`treeshap_hd.oracles.diagonal_cubes`
+    through the per-cube functions (a property the tests assert).
     """
     if kind not in FUNCTIONALS:
         raise ValidationError(f"unknown functional {kind!r}")

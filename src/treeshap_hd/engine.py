@@ -22,47 +22,24 @@ and keeps the products; :meth:`PreparedExplainer.rows` walks the trees on
 any consumer rows and takes the second, with the same bits as
 :func:`explain`.
 
-Two kernels share the loop.  :func:`explain` multiplies the cached secondary
-diagonals with the O(k 2^k) zeta kernel; :func:`explain_dense` multiplies the
-full sparse value matrices in O(3^k) per leaf, kept as an independent
-regression anchor.  :func:`projected_peak_bytes` is the one memory projection
-that budget guards consult.  Also here: definitional brute-force oracles
-(subset enumeration over the model's active features).
+The loop multiplies the cached secondary diagonals with the O(k 2^k) zeta
+kernel.  :func:`projected_peak_bytes` is the one memory projection that
+budget guards consult.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cubes import (
-    BANZHAF,
-    INTERACTION,
-    SHAPLEY,
-    _GENERATED_TABLES,
-    _generated_level,
-    build_diagonal_cache,
-    cache_nbytes,
-    cube_banzhaf,
-    cube_interaction,
-    cube_shapley,
-    map_patterns_to_cubes,
-)
-from .errors import (
-    BudgetExceededError,
-    DepthCapError,
-    EmptyBackgroundError,
-    MissingCoverError,
-    TooManyFeaturesError,
-    ValidationError,
-    ZeroCoverError,
-)
+from .cubes import BANZHAF, INTERACTION, SHAPLEY, _GENERATED_TABLES, _generated_level
+from .cubes import build_diagonal_cache, cache_nbytes
+from .errors import BudgetExceededError, DepthCapError, EmptyBackgroundError, ValidationError
 from .fastmult import diagonal_matvec
-from .model import EnsembleModel, Leaf
+from .model import EnsembleModel
 from .patterns import (
     DEFAULT_FEATURE_CAP,
     _as_rows,
@@ -74,9 +51,6 @@ from .patterns import (
 BACKGROUND = "background"
 PATH_DEPENDENT = "path-dependent"
 MODES = (BACKGROUND, PATH_DEPENDENT)
-
-BRUTE_FORCE_FEATURE_CAP = 14
-DENSE_BASELINE_CAP = 12  # explain_dense enumerates 3^k cube entries per leaf
 
 # Python objects a run allocates: generators, and the tuples the
 # interpreter's free lists keep after the leaf loop discards them.  Measured
@@ -182,44 +156,41 @@ def output_nbytes(n: int, n_features: int, functional: str) -> int:
 
 
 def projected_peak_bytes(
-    request: ExplainRequest, *, dense: bool = False, chunk_rows: int | None = None, _store_all=False
+    request: ExplainRequest, *, chunk_rows: int | None = None, _store_all=False
 ) -> int:
     """Upper estimate of the bytes an :func:`explain` run allocates at its peak.
 
     Counts the kernel's tables (the diagonal cache's levels up to k = 16, or
     all with ``_store_all``, and the deepest generated level's popcount
-    tables, plus the same for Shapley values for interactions; with
-    ``dense``, the sparse matrices :func:`explain_dense` builds and the cube
-    table they come from), one leaf's working vectors and the pattern stacks
-    of its tree walk, and the output, which every leaf adds into.  The
-    consumer and background rows are not counted.
+    tables, plus the same for Shapley values for interactions), one leaf's
+    working vectors and the pattern stacks of its tree walk, and the output,
+    which every leaf adds into.  The consumer and background rows are not
+    counted.
 
     With ``chunk_rows``, the estimate is for a two-phase run instead:
     :func:`prepare`, whose products it adds, then
     :meth:`PreparedExplainer.rows` on chunks of at most ``chunk_rows`` rows,
     one at a time; ``request.consumers`` is not read.
     """
+    k_max = max((t.max_unique_features for t in request.model.trees), default=0)
+    stored = k_max if _store_all else min(k_max, _STORED_K)
+    kinds = (request.functional, SHAPLEY) if request.functional == INTERACTION else (request.functional,)
+    tables = sum(cache_nbytes(stored, kind) for kind in kinds)
+    if k_max > stored:  # the deepest generated level's tables
+        tables += sum(_GENERATED_TABLES[kind] for kind in kinds) << (k_max + 3)
+    if chunk_rows is not None:
+        tables += prepared_nbytes(request.model, request.functional)
+    return tables + _loop_bytes(request, k_max, chunk_rows)
+
+
+def _loop_bytes(request: ExplainRequest, k_max: int, chunk_rows: int | None = None) -> int:
+    """What :func:`projected_peak_bytes` counts besides the kernel's tables:
+    working vectors, pattern stacks, output and the interpreter's objects."""
     model = request.model
-    interaction = request.functional == INTERACTION
     n = len(request.consumers) if chunk_rows is None else chunk_rows
     background = request.background if request.mode == BACKGROUND else None
     m = 0 if background is None else len(background)
-    k_max = max((t.max_unique_features for t in model.trees), default=0)
     depth = max((t.max_path_depth for t in model.trees), default=0)
-
-    if dense:
-        per_k = (lambda k: k * (k + 1) // 2) if interaction else (lambda k: k)
-        tables = sum(per_k(k) * (12 * 3**k + 4 * ((1 << k) + 1)) for k in range(1, k_max + 1))
-        # the Python cube table each level is assembled from: 420-520 B an entry at k = 8-10
-        tables += 640 * 3**k_max
-    else:
-        stored = k_max if _store_all else min(k_max, _STORED_K)
-        kinds = (request.functional, SHAPLEY) if interaction else (request.functional,)
-        tables = sum(cache_nbytes(stored, kind) for kind in kinds)
-        if k_max > stored:  # the deepest generated level's tables
-            tables += sum(_GENERATED_TABLES[kind] for kind in kinds) << (k_max + 3)
-    if chunk_rows is not None:
-        tables += prepared_nbytes(model, request.functional)
     # six 2^k_max vectors: a leaf's distribution, its bincount and the kernel's
     # vector, or the temporaries of building the cache's deepest level; a
     # block of products, at most max(n, 2^k_max) entries, with the zeta
@@ -228,7 +199,7 @@ def projected_peak_bytes(
     block = _block_span(n if chunk_rows is None else max(n, _PREPARE_SPAN), k_max)
     working = (48 << k_max) + 20 * block + 8 * n + 4 * (depth + 3) * (n + m)
     output = output_nbytes(n, model.n_features, request.functional)
-    return _INTERPRETER_BYTES + tables + working + output
+    return _INTERPRETER_BYTES + working + output
 
 
 class _Kernel(NamedTuple):
@@ -507,186 +478,3 @@ def prepare(request: ExplainRequest, *, depth_cap: int = DEFAULT_FEATURE_CAP) ->
     else:
         runs = {k: _runs(k) for k in pairs}
     return PreparedExplainer(model, request.functional, runs, sink.flat, base_value, depth_cap)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracles (definitional enumeration over active features)
-# ---------------------------------------------------------------------------
-
-def _attributions_from_game(V: np.ndarray, active, functional: str, n_features: int):
-    """Definitional Shapley / Banzhaf / interaction values from a game vector.
-
-    ``V[s]`` is the game value of the coalition whose members are the active
-    features at the set bits of ``s``.
-    """
-    nA = len(active)
-    total = 1 << nA
-    masks = np.arange(total)
-    sizes = np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
-
-    def shapley_vector():
-        phi = np.zeros(n_features)
-        if nA == 0:
-            return phi
-        w = np.array(
-            [
-                math.factorial(s) * math.factorial(nA - 1 - s) / math.factorial(nA)
-                for s in range(nA)
-            ]
-        )
-        for i, feat in enumerate(active):
-            bit = 1 << i
-            sub = masks[(masks & bit) == 0]
-            phi[feat] = float(np.sum(w[sizes[sub]] * (V[sub | bit] - V[sub])))
-        return phi
-
-    if functional == SHAPLEY:
-        return shapley_vector()
-    if functional == BANZHAF:
-        phi = np.zeros(n_features)
-        for i, feat in enumerate(active):
-            bit = 1 << i
-            sub = masks[(masks & bit) == 0]
-            phi[feat] = float(np.sum(V[sub | bit] - V[sub]) * 2.0 ** (1 - nA))
-        return phi
-
-    vals = np.zeros((n_features, n_features))
-    if nA >= 2:
-        coef = np.array(
-            [
-                math.factorial(s) * math.factorial(nA - 2 - s) / math.factorial(nA - 1)
-                for s in range(nA - 1)
-            ]
-        )
-        for (i1, f1), (i2, f2) in combinations(list(enumerate(active)), 2):
-            b1, b2 = 1 << i1, 1 << i2
-            sub = masks[(masks & (b1 | b2)) == 0]
-            delta = V[sub | b1 | b2] - V[sub | b1] - V[sub | b2] + V[sub]
-            pairwise = float(np.sum(coef[sizes[sub]] * delta))
-            vals[f1, f2] = pairwise
-            vals[f2, f1] = pairwise
-    phi = shapley_vector()
-    idx = np.arange(n_features)
-    vals[idx, idx] = phi - vals.sum(axis=1)
-    return vals
-
-
-def _active_or_raise(model: EnsembleModel, max_active: int):
-    active = model.active_features()
-    if len(active) > max_active:
-        raise TooManyFeaturesError(
-            f"{len(active)} active features; brute force capped at {max_active}"
-        )
-    return active
-
-
-def brute_force_background(
-    model: EnsembleModel,
-    x,
-    background,
-    functional: str = SHAPLEY,
-    max_active: int = BRUTE_FORCE_FEATURE_CAP,
-):
-    """Oracle: v(S) = mean prediction over background rows composited with x on S.
-
-    Returns (values, base_value) for the single consumer row ``x``.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    B = _checked_rows(background, model.n_features, "background dataset")
-    active = _active_or_raise(model, max_active)
-    nA = len(active)
-    total = 1 << nA
-    m = B.shape[0]
-    composite = np.repeat(B[None, :, :], total, axis=0)
-    masks = np.arange(total)
-    for i, feat in enumerate(active):
-        chosen = (masks >> i) & 1 == 1
-        composite[chosen, :, feat] = x[feat]
-    preds = model.predict(composite.reshape(total * m, model.n_features))
-    V = preds.reshape(total, m).mean(axis=1)
-    return _attributions_from_game(V, active, functional, model.n_features), float(V[0])
-
-
-def brute_force_path_dependent(
-    model: EnsembleModel,
-    x,
-    functional: str = SHAPLEY,
-    max_active: int = BRUTE_FORCE_FEATURE_CAP,
-):
-    """Oracle: v(S) by traversal, following x on S-features and cover-weighting
-    both branches elsewhere.  Returns (values, base_value)."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    active = _active_or_raise(model, max_active)
-    bit_of = {feat: i for i, feat in enumerate(active)}
-    total = 1 << len(active)
-    masks = np.arange(total)
-
-    def game(node):
-        if isinstance(node, Leaf):
-            return np.full(total, node.weight)
-        left = game(node.left)
-        right = game(node.right)
-        for nd in (node, node.left, node.right):
-            if nd.cover is None:
-                raise MissingCoverError("path-dependent oracle needs covers")
-        if node.cover <= 0 or node.left.cover <= 0 or node.right.cover <= 0:
-            raise ZeroCoverError("zero cover in path-dependent oracle")
-        consumer = left if bool(node.goes_left(np.array([x[node.feature]]))[0]) else right
-        mixed = (node.left.cover / node.cover) * left + (
-            node.right.cover / node.cover
-        ) * right
-        has = (masks >> bit_of[node.feature]) & 1 == 1
-        return np.where(has, consumer, mixed)
-
-    V = np.full(total, model.base_score, dtype=np.float64)
-    for tree in model.trees:
-        V = V + game(tree.root)
-    return _attributions_from_game(V, active, functional, model.n_features), float(V[0])
-
-
-# ---------------------------------------------------------------------------
-# dense baseline: full sparse value matrices, O(3^k) per leaf
-# ---------------------------------------------------------------------------
-
-def _sparse_tables(k: int, functional: str):
-    import scipy.sparse  # only the dense baseline needs scipy; the CLI starts without it
-
-    cube_rows = map_patterns_to_cubes(range(k))
-    rows, cols, cubes = [], [], []
-    for pc, row in cube_rows.items():
-        for pb, cube in row.items():
-            rows.append(pc)
-            cols.append(pb)
-            cubes.append(cube)
-    shape = (1 << k, 1 << k)
-
-    def matrix(values):
-        return scipy.sparse.csr_matrix((values, (rows, cols)), shape=shape)
-
-    if functional == INTERACTION:
-        pairs = list(combinations(range(k), 2))
-        mats = [matrix([cube_interaction(c, j1, j2) for c in cubes]) for j1, j2 in pairs]
-        shap = [matrix([cube_shapley(c, j) for c in cubes]) for j in range(k)]
-        return mats, shap, pairs
-    fn = cube_shapley if functional == SHAPLEY else cube_banzhaf
-    mats = [matrix([fn(c, j) for c in cubes]) for j in range(k)]
-    return mats, None, None
-
-
-def _dense_kernel(k_max: int, functional: str) -> _Kernel:
-    """Regression anchor: the sparse value matrices, O(3^k) per product."""
-    tables = {k: _runs(*_sparse_tables(k, functional)) for k in range(1, k_max + 1)}
-    return _Kernel(tables.get, k_max, lambda mats, r0, r1, f: np.stack([m.dot(f) for m in mats[r0:r1]]))
-
-
-def explain_dense(
-    request: ExplainRequest, *, depth_cap: int = DENSE_BASELINE_CAP
-) -> AttributionResult:
-    """Same contract as :func:`explain`, via full sparse value matrices.
-
-    Regression anchor for the fast path: the matrices are assembled from the
-    cube table entry by entry and multiplied sparsely, no diagonals involved.
-    """
-    model, X, B = _validated(request)
-    kernel = _dense_kernel(_max_unique_features(model, depth_cap), request.functional)
-    return _leaf_loop(request, model, X, B, kernel, depth_cap=depth_cap)

@@ -55,7 +55,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import LayoutError, LengthError, SizeError, StructureError
+from .errors import LayoutError, LengthError
 
 
 class OpCounter:
@@ -311,63 +311,3 @@ def diagonal_matvec(diag, f) -> np.ndarray:
 
     _transforms(g, (fill, scale))
     return g
-
-
-def matvec_recursive(M, v, check: bool = False, tol: float = 1e-9) -> np.ndarray:
-    """Readable halving recursion for M @ v; the test oracle, not the hot path.
-
-    With ``check`` set, raises StructureError wherever the quadrant identities
-    fail beyond ``tol``.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != v.size:
-        raise LengthError(f"shape mismatch: M {M.shape}, v {v.shape}")
-    _require_power_of_two(v.size)
-    return _matvec_recursive(M, v, check, tol)
-
-
-def _matvec_recursive(M, v, check, tol):
-    n = v.size
-    if n == 1:
-        return M[0, 0] * v
-    h = n >> 1
-    M2 = M[:h, h:]
-    M3 = M[h:, :h]
-    if check:
-        if np.abs(M[:h, :h]).max() > tol:
-            raise StructureError("zero quadrant holds nonzero entries")
-        if np.abs(M[h:, h:] - (M2 + M3)).max() > tol:
-            raise StructureError("sum quadrant does not equal the mixed quadrants")
-    r1 = _matvec_recursive(M2, v[h:], check, tol)
-    r2 = _matvec_recursive(M3, v[:h] + v[h:], check, tol)
-    return np.concatenate([r1, r1 + r2])
-
-
-def dense_from_diagonal(diag, max_k: int = 12) -> np.ndarray:
-    """The unique dense completion of a secondary diagonal under the identities.
-
-    Built by the quadrant recursion itself (zero block, two mixed blocks from
-    the half-diagonals, sum block), deliberately sharing no code with the
-    zeta-based kernel so the two can check each other.  Equivalent closed
-    form: M[a][b] = sum of diag[a'] over a' subset of a with ~a' subset of b.
-    """
-    diag = np.asarray(diag, dtype=np.float64)
-    n = diag.size
-    _require_power_of_two(n)
-    if n > (1 << max_k):
-        raise SizeError(f"dense completion capped at 2^{max_k} rows, got {n}")
-    M = np.zeros((n, n), dtype=np.float64)
-    _fill_completion(M, diag)
-    return M
-
-
-def _fill_completion(block, diag):
-    n = diag.size
-    if n == 1:
-        block[0, 0] = diag[0]
-        return
-    h = n >> 1
-    _fill_completion(block[:h, h:], diag[:h])
-    _fill_completion(block[h:, :h], diag[h:])
-    np.add(block[:h, h:], block[h:, :h], out=block[h:, h:])

@@ -106,14 +106,6 @@ class EnsembleModel:
             _add_leaf_weights(tree.root, X, out)
         return out
 
-    def active_features(self) -> list[int]:
-        """Sorted feature ids used by at least one split."""
-        used: set[int] = set()
-        for tree in self.trees:
-            for _leaf, path in root_to_leaf_paths(tree):
-                used.update(n.feature for n in path)
-        return sorted(used)
-
 
 def _add_leaf_weights(root, X, out) -> None:
     # an explicit stack, left child first, so no path depth hits the recursion limit
@@ -139,15 +131,6 @@ def _paths_from(root):
         else:
             stack.append((node.right, path + [node]))
             stack.append((node.left, path + [node]))
-
-
-def root_to_leaf_paths(tree: DecisionTree):
-    """Yield (leaf, internal-node path) for every leaf, depth-first, left child first.
-
-    This order is the contract every per-leaf stream in the pipeline follows;
-    pattern generators iterate leaves identically.
-    """
-    yield from _paths_from(tree.root)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +160,8 @@ def model_from_dict(doc) -> EnsembleModel:
     base_score = doc["base_score"]
     if not isinstance(base_score, (int, float)) or isinstance(base_score, bool):
         raise ParseError("base_score must be a number")
+    if not math.isfinite(base_score):
+        raise ValidationError("base_score must be finite")
     names = doc.get("feature_names")
     if names is not None:
         if not isinstance(names, list) or len(names) != n_features:
@@ -427,6 +412,15 @@ def _lgbm_floats(block, key, tree_idx):
         raise ParseError(f"Tree={tree_idx}: bad {key} array") from exc
 
 
+def _lgbm_finite(block, key, tree_idx, counts=False):
+    # float() parses nan and inf, which would route rows or weigh leaves silently
+    values = _lgbm_floats(block, key, tree_idx)
+    if not all(math.isfinite(x) and (x >= 0 or not counts) for x in values):
+        what = "finite and non-negative" if counts else "finite"
+        raise ValidationError(f"Tree={tree_idx}: {key} must be {what}")
+    return values
+
+
 def _lgbm_int(value: str, what: str) -> int:
     try:
         return int(value)
@@ -443,19 +437,19 @@ def _lgbm_ints(block, key, tree_idx):
 
 def _lgbm_tree(block, tree_idx):
     num_leaves = _lgbm_int(block.get("num_leaves", "0"), f"Tree={tree_idx}: num_leaves")
-    leaf_value = _lgbm_floats(block, "leaf_value", tree_idx)
+    leaf_value = _lgbm_finite(block, "leaf_value", tree_idx)
     if num_leaves != len(leaf_value):
         raise ParseError(f"Tree={tree_idx}: num_leaves disagrees with leaf_value")
     leaf_count = None
     if "leaf_count" in block:
-        leaf_count = _lgbm_floats(block, "leaf_count", tree_idx)
+        leaf_count = _lgbm_finite(block, "leaf_count", tree_idx, counts=True)
 
     if num_leaves == 1:
         cover = leaf_count[0] if leaf_count else None
         return Leaf(leaf_value[0], cover), -1
 
     split_feature = _lgbm_ints(block, "split_feature", tree_idx)
-    threshold = _lgbm_floats(block, "threshold", tree_idx)
+    threshold = _lgbm_finite(block, "threshold", tree_idx)
     left_child = _lgbm_ints(block, "left_child", tree_idx)
     right_child = _lgbm_ints(block, "right_child", tree_idx)
     n_internal = len(split_feature)
@@ -463,7 +457,7 @@ def _lgbm_tree(block, tree_idx):
         raise ParseError(f"Tree={tree_idx}: negative split_feature")
     internal_count = None
     if "internal_count" in block:
-        internal_count = _lgbm_floats(block, "internal_count", tree_idx)
+        internal_count = _lgbm_finite(block, "internal_count", tree_idx, counts=True)
     per_node = {"threshold": threshold, "left_child": left_child, "right_child": right_child}
     if internal_count is not None:
         per_node["internal_count"] = internal_count

@@ -15,7 +15,6 @@ cover ratios into a leaf's distribution.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -145,29 +144,6 @@ def iter_leaf_patterns(
         stack.append((node.right, rights, feats, right_ratios))
         stack.append((node.left, pats, feats, left_ratios))
         del pats, rights, pat, s
-
-
-def leaf_decision_patterns(tree: DecisionTree, rows, cap: int = DEFAULT_FEATURE_CAP):
-    """Unmerged reference patterns: one bit per path node, no feature merging.
-
-    Breadth-first construction, child pattern = (parent << 1) + outcome.  Kept
-    as an oracle for :func:`iter_leaf_patterns` on trees without repeated
-    features, where the two encodings coincide.
-    """
-    X = _as_rows(rows)
-    out: dict[Leaf, np.ndarray] = {}
-    queue = deque([(tree.root, np.zeros(X.shape[0], dtype=_DTYPE), 0)])
-    while queue:
-        node, pat, d = queue.popleft()
-        if isinstance(node, Leaf):
-            out[node] = pat
-            continue
-        if d >= cap:
-            raise DepthCapError(f"path exceeds {cap} bits")
-        s = node.goes_left(X[:, node.feature]).astype(_DTYPE)
-        queue.append((node.left, (pat << _ONE) + s, d + 1))
-        queue.append((node.right, (pat << _ONE) + (_ONE - s), d + 1))
-    return out
 
 
 def background_distribution(patterns: np.ndarray, k: int) -> np.ndarray:

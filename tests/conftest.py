@@ -27,6 +27,6 @@ def two_feature_tree():
 
 
 def leaf_weights_in_order(tree):
-    from treeshap_hd.model import root_to_leaf_paths
+    from treeshap_hd.oracles import root_to_leaf_paths
 
     return [leaf.weight for leaf, _ in root_to_leaf_paths(tree)]

@@ -2,7 +2,8 @@
 
 Everything here recomputes values from first principles (powerset loops,
 per-row traversal) and deliberately shares no algorithmic code with the
-package under test.
+package under test, except :func:`load_csv_cells`, which words its
+diagnostics with the CLI's own per-row parser.
 """
 
 import csv
@@ -10,6 +11,8 @@ import math
 from itertools import chain, combinations
 
 import numpy as np
+
+from treeshap_hd.cli import _csv_header, _parsed_row, _utf8_lines
 
 
 def powerset(items):
@@ -188,3 +191,12 @@ def write_values_csv_reference(path, values, base_value, interaction):
         base = format(base_value, ".17g")
         for row_id, row in enumerate(values):
             writer.writerow([row_id, base] + [format(v, ".17g") for v in row.reshape(-1)])
+
+
+def load_csv_cells(path):
+    """Cell-by-cell reader: the first offending cell in row-major order."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(_utf8_lines(fh, path))
+        header = _csv_header(reader, path)
+        data = [_parsed_row(r, row, header, path) for r, row in enumerate(reader)]
+    return header, np.array(data, dtype=np.float64).reshape(len(data), len(header))

@@ -20,18 +20,17 @@ from treeshap_hd.cubes import (
     cube_banzhaf,
     cube_interaction,
     cube_shapley,
-    map_patterns_to_cubes,
 )
-from treeshap_hd.engine import (
-    BACKGROUND,
-    PATH_DEPENDENT,
-    ExplainRequest,
+from treeshap_hd.engine import BACKGROUND, PATH_DEPENDENT, ExplainRequest, explain
+from treeshap_hd.fastmult import count_operations, diagonal_matvec
+from treeshap_hd.oracles import (
     brute_force_background,
     brute_force_path_dependent,
-    explain,
+    dense_from_diagonal,
     explain_dense,
+    map_patterns_to_cubes,
+    matvec_recursive,
 )
-from treeshap_hd.fastmult import count_operations, dense_from_diagonal, diagonal_matvec, matvec_recursive
 from treeshap_hd.patterns import PatternMemoryStats, iter_leaf_patterns
 from treeshap_hd.synthetic import complete_tree_model, random_dataset, random_model
 

@@ -16,7 +16,6 @@ from treeshap_hd.cli import (
     RunConfig,
     _bench_request,
     _load_csv,
-    _load_csv_cells,
     _value_lines,
     _values_header,
     cmd_bench,
@@ -26,10 +25,12 @@ from treeshap_hd.cubes import INTERACTION, SHAPLEY
 from treeshap_hd.engine import AttributionResult, ExplainRequest, explain, projected_peak_bytes
 from treeshap_hd.errors import ParseError, ValidationError
 from treeshap_hd.model import save_canonical
+from treeshap_hd.oracles import projected_dense_peak_bytes
 from treeshap_hd.synthetic import deep_path_model, random_dataset, random_model
 
 from oracle_utils import (
     left_chain_predictions,
+    load_csv_cells,
     write_lightgbm_left_chain,
     write_values_csv_reference,
 )
@@ -139,7 +140,7 @@ def test_load_csv_diagnostics_match_per_cell_reader(tmp_path, text, error, messa
     with pytest.raises(error) as fast:
         _load_csv(path)
     with pytest.raises(error) as per_cell:
-        _load_csv_cells(path)
+        load_csv_cells(path)
     assert str(fast.value) == str(per_cell.value) == f"{path}: {message}"
 
 
@@ -391,7 +392,7 @@ def test_bench_skips_when_budget_too_small():
     for rec in report.records:
         assert not rec.get("skipped")
         dense = rec["method"] == "dense"
-        assert rec["projected_bytes"] == projected_peak_bytes(request, dense=dense)
+        assert rec["projected_bytes"] == (projected_dense_peak_bytes if dense else projected_peak_bytes)(request)
 
 
 def test_bench_does_not_time_the_scipy_import(tmp_path):
@@ -813,7 +814,7 @@ def test_diagnostics_across_parse_blocks(tmp_path, monkeypatch, bad, cell):
     with pytest.raises(ValidationError) as fast:
         _load_csv(path)
     with pytest.raises(ValidationError) as per_cell:
-        _load_csv_cells(path)
+        load_csv_cells(path)
     assert str(fast.value) == str(per_cell.value)
     assert f"row {r}," in str(fast.value) or f"row {r} has" in str(fast.value)
     # in chunks of four rows, each numbered from its first row in the file

@@ -20,11 +20,10 @@ from treeshap_hd.cubes import (
     cube_banzhaf,
     cube_interaction,
     cube_shapley,
-    diagonal_cubes,
-    map_patterns_to_cubes,
     pair_index,
 )
 from treeshap_hd.errors import DepthCapError, InvalidPairError
+from treeshap_hd.oracles import diagonal_cubes, map_patterns_to_cubes
 
 from oracle_utils import banzhaf_from_game, cube_game, interaction_from_game, shapley_from_game
 

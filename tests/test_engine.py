@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 import treeshap_hd.engine as engine_module
+import treeshap_hd.oracles as oracles_module
 from treeshap_hd.cli import RunConfig, _bench_request
 from treeshap_hd.cubes import BANZHAF, INTERACTION, SHAPLEY, build_diagonal_cache
 from treeshap_hd.engine import (
     BACKGROUND,
     PATH_DEPENDENT,
     ExplainRequest,
-    brute_force_background,
-    brute_force_path_dependent,
     explain,
-    explain_dense,
     prepare,
     prepared_nbytes,
     projected_peak_bytes,
@@ -30,6 +28,12 @@ from treeshap_hd.errors import (
 )
 from treeshap_hd.fastmult import count_operations
 from treeshap_hd.model import DecisionTree, EnsembleModel, Leaf, SplitNode
+from treeshap_hd.oracles import (
+    brute_force_background,
+    brute_force_path_dependent,
+    explain_dense,
+    projected_dense_peak_bytes,
+)
 from treeshap_hd.synthetic import deep_path_model, random_dataset, random_model
 
 ALL_FUNCTIONALS = (SHAPLEY, BANZHAF, INTERACTION)
@@ -124,7 +128,7 @@ def test_dense_baseline_agrees(mode, functional):
 def test_dense_baseline_nonzero_counts_are_three_to_the_k():
     # every (consumer, background) pattern pair of a cube is a stored entry
     for k in (1, 2):
-        mats, _, _ = engine_module._sparse_tables(k, SHAPLEY)
+        mats, _, _ = oracles_module._sparse_tables(k, SHAPLEY)
         assert [m.nnz for m in mats] == [3**k] * k
 
 
@@ -358,7 +362,7 @@ def test_projected_peak_bounds_bench_peak(dense, depth):
     run = (lambda: explain_dense(request)) if dense else (lambda: explain(request))
     run()  # a first dense call imports scipy, which bench imports before any run
     peak = _traced_peak(run)
-    assert peak <= projected_peak_bytes(request, dense=dense), peak
+    assert peak <= (projected_dense_peak_bytes if dense else projected_peak_bytes)(request), peak
 
 
 @pytest.mark.parametrize("depth, functional", ((19, SHAPLEY), (17, INTERACTION)))
@@ -423,6 +427,8 @@ def _deep_spine_cases():
             yield pytest.param(k, functional, BACKGROUND, id=f"{k}-{functional}-{BACKGROUND}")
     for functional in (BANZHAF, SHAPLEY):
         yield pytest.param(20, functional, PATH_DEPENDENT, id=f"20-{functional}")
+    # five passes with bit >= 2^16 per transform
+    yield pytest.param(21, SHAPLEY, PATH_DEPENDENT, id=f"21-{SHAPLEY}")
 
 
 @pytest.mark.parametrize("k, functional, mode", _deep_spine_cases())
@@ -440,6 +446,21 @@ def test_deep_spine_matches_bruteforce(k, functional, mode):
             want, base = brute_force_path_dependent(model, X[r], functional, max_active=k)
         else:
             want, base = brute_force_background(model, X[r], B, functional, max_active=k)
+        np.testing.assert_allclose(result.values[r], want, rtol=0, atol=1e-8)
+        assert result.base_value == pytest.approx(base, abs=1e-8)
+
+
+@pytest.mark.parametrize("functional", (SHAPLEY, BANZHAF))
+def test_deep_ensemble_matches_bruteforce(functional):
+    # three depth-16 trees: leaves up to k = 15, whose blocks hold several
+    # rows per kernel chunk, over 18 active features
+    model = random_model(0, max_depth=16, n_features=18, n_trees=3)
+    rng = np.random.default_rng(16)
+    X = random_dataset(rng, 2, 18)
+    B = random_dataset(rng, 3, 18)
+    result = explain(ExplainRequest(model, X, B, BACKGROUND, functional))
+    for r in range(2):
+        want, base = brute_force_background(model, X[r], B, functional, max_active=18)
         np.testing.assert_allclose(result.values[r], want, rtol=0, atol=1e-8)
         assert result.base_value == pytest.approx(base, abs=1e-8)
 

@@ -17,7 +17,6 @@ from treeshap_hd.cubes import (
     cube_banzhaf,
     cube_interaction,
     cube_shapley,
-    map_patterns_to_cubes,
     pair_index,
 )
 from treeshap_hd.errors import LayoutError, LengthError, SizeError, StructureError
@@ -27,11 +26,10 @@ from treeshap_hd.fastmult import (
     _transforms,
     _zeta_inplace,
     count_operations,
-    dense_from_diagonal,
     diagonal_matvec,
-    matvec_recursive,
     subset_zeta,
 )
+from treeshap_hd.oracles import dense_from_diagonal, map_patterns_to_cubes, matvec_recursive
 
 from oracle_utils import diagonal_matvec_reference, zeta_naive, zeta_reference
 

@@ -17,9 +17,9 @@ from treeshap_hd.model import (
     SplitNode,
     load_canonical,
     load_lightgbm_text,
-    root_to_leaf_paths,
     save_canonical,
 )
+from treeshap_hd.oracles import root_to_leaf_paths
 from treeshap_hd.synthetic import random_dataset, random_model
 
 from oracle_utils import (
@@ -92,6 +92,14 @@ def test_infinite_threshold_rejected(tmp_path):
     doc = json.loads(json.dumps(MINIMAL_DOC))
     doc["trees"][0][0]["threshold"] = 1e400  # serializes as Infinity
     with pytest.raises(ValidationError):
+        load_canonical(write_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_base_score_rejected(tmp_path, value):
+    # json writes and reads NaN and Infinity; explain would return a NaN base value
+    doc = dict(MINIMAL_DOC, base_score=value)
+    with pytest.raises(ValidationError, match="base_score must be finite"):
         load_canonical(write_doc(tmp_path, doc))
 
 
@@ -334,6 +342,31 @@ def test_lightgbm_zero_as_missing_rejected(tmp_path):
     # bits 2-3 of decision_type hold the missing type; 1 is Zero (here with default_left)
     with pytest.raises(UnsupportedFeatureError):
         load_lightgbm_text(_lightgbm_dump(tmp_path, decision_type=str((1 << 2) | 2)))
+
+
+@pytest.mark.parametrize(
+    "line, bad, message",
+    [
+        ("leaf_value=1.0 2.0", "leaf_value=nan 2", "leaf_value must be finite"),
+        ("leaf_value=1.0 2.0", "leaf_value=1.0 inf", "leaf_value must be finite"),
+        ("threshold=0.5", "threshold=nan", "threshold must be finite"),
+        ("leaf_count=4 6", "leaf_count=4 nan", "leaf_count must be finite and non-negative"),
+        ("leaf_count=4 6", "leaf_count=-4 14", "leaf_count must be finite and non-negative"),
+        ("internal_count=10", "internal_count=nan", "internal_count must be finite and non-negative"),
+        ("internal_count=10", "internal_count=-inf", "internal_count must be finite and non-negative"),
+    ],
+    ids=["leaf_value-nan", "leaf_value-inf", "threshold-nan", "leaf_count-nan", "leaf_count-negative",
+         "internal_count-nan", "internal_count-negative"],
+)
+def test_lightgbm_non_finite_values_rejected(tmp_path, line, bad, message):
+    # float() parses these; a NaN threshold sends every row right, and a NaN
+    # count passes the cover sums, whose comparisons are all false
+    path = _lightgbm_dump(tmp_path)
+    text = path.read_text()
+    assert line in text
+    path.write_text(text.replace(line, bad))
+    with pytest.raises(ValidationError, match=f"Tree=0: {message}"):
+        load_lightgbm_text(path)
 
 
 def test_deep_chain_canonical_roundtrip(tmp_path):

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeshap_hd.errors import DepthCapError, EmptyBackgroundError, MissingCoverError, NaNInputError, ZeroCoverError
-from treeshap_hd.model import DecisionTree, Leaf, SplitNode, root_to_leaf_paths
+from treeshap_hd.model import DecisionTree, Leaf, SplitNode
+from treeshap_hd.oracles import leaf_decision_patterns, root_to_leaf_paths
 from treeshap_hd.patterns import (
     PatternMemoryStats,
     background_distribution,
     iter_leaf_patterns,
-    leaf_decision_patterns,
     path_dependent_distribution,
 )
 from treeshap_hd.synthetic import (
