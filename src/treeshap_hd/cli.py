@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import json
 import logging
 import math
@@ -414,24 +413,27 @@ def _bench_request(config: RunConfig, depth: int) -> ExplainRequest:
     return ExplainRequest(model, consumers, background, config.mode, config.functional)
 
 
-def _bench_one(config: RunConfig, request, rec: dict) -> None:
-    """Time one run into ``rec``, keeping its fastest; the collector is off meanwhile."""
-    gc_was_on = gc.isenabled()
-    gc.disable()
-    try:
+def _bench_one(config: RunConfig, request, depth: int, method: str, repeats: int, projected: int):
+    best = None
+    for _ in range(max(repeats, 1)):
         with count_operations() as ops:
             start = time.perf_counter()
-            if rec["method"] == "hd":
+            if method == "hd":
                 explain(request, depth_cap=config.depth_cap, _store_all=True)
             else:
                 explain_dense(request, depth_cap=DENSE_BASELINE_CAP)
             elapsed = time.perf_counter() - start
-    finally:
-        if gc_was_on:
-            gc.enable()
-    best = rec["wall_time_seconds"]
-    rec.update(wall_time_seconds=elapsed if best is None else min(best, elapsed),
-               adds=int(ops.adds), muls=int(ops.muls))
+        if best is None or elapsed < best:
+            best = elapsed
+    return {
+        "depth": depth,
+        "wall_time_seconds": best,
+        "projected_bytes": projected,
+        "adds": int(ops.adds),
+        "muls": int(ops.muls),
+        "mode": config.mode,
+        "method": method,
+    }
 
 
 def cmd_bench(
@@ -446,16 +448,12 @@ def cmd_bench(
     past the baseline cap (reason ``dense_cap``), and configurations whose
     projection exceeds the budget (reason ``budget``), are skipped with a
     recorded reason instead of run.  scipy is imported before the first dense
-    run, so no timed run pays its import.  Runs go in ``repeats`` rounds, each
-    over every configuration from the deepest down, and a record keeps its
-    fastest run: a slow spell of the host falls on a whole round, and a run
-    whose arrays stay on the heap reuses the pages the deeper one faulted in.
+    run, so no timed run pays its import.
     """
     report = BenchReport()
     budget = config.memory_budget_bytes
     if "dense" in methods:
         import scipy.sparse  # explain_dense would import it inside the first timed run
-    timed = []  # (record, request) of each configuration that runs
     for depth in sorted(depths):
         request = _bench_request(config, depth)
         for method in methods:
@@ -475,15 +473,9 @@ def cmd_bench(
                 )
                 log.info("bench: skipping depth=%d method=%s (%s)", depth, method, skip["reason"])
                 continue
-            rec = {"depth": depth, "wall_time_seconds": None, "projected_bytes": projected,
-                   "adds": 0, "muls": 0, "mode": config.mode, "method": method}
+            rec = _bench_one(config, request, depth, method, repeats, projected)
             report.records.append(rec)
-            timed.append((rec, request))
-    for _ in range(max(repeats, 1)):
-        for rec, request in reversed(timed):
-            _bench_one(config, request, rec)
-    for rec, _ in timed:
-        log.info("bench: depth=%d method=%s %.4fs", rec["depth"], rec["method"], rec["wall_time_seconds"])
+            log.info("bench: depth=%d method=%s %.4fs", depth, method, rec["wall_time_seconds"])
     if config.output_path:
         report.write(config.output_path)
     print(report.summary())

@@ -370,41 +370,6 @@ def test_bench_writes_report_and_counters_are_deterministic(tmp_path):
         assert a["wall_time_seconds"] > 0
 
 
-def test_bench_times_repeats_in_rounds_and_keeps_the_fastest(monkeypatch):
-    import gc
-    from types import SimpleNamespace
-
-    calls = []
-    for name in ("explain", "explain_dense"):
-        real = getattr(cli_module, name)
-
-        def spy(request, *, _real=real, _name=name, **kwargs):
-            calls.append((request.model.n_features, _name, gc.isenabled()))
-            return _real(request, **kwargs)
-
-        monkeypatch.setattr(cli_module, name, spy)
-    # each timed run reads the clock twice; run i lasts seconds[i]
-    seconds = iter([3.0, 1.0, 5.0, 6.0, 2.0, 4.0, 7.0, 0.5])
-    clock = {"now": 0.0, "running": False}
-
-    def perf_counter():
-        if clock["running"]:
-            clock["now"] += next(seconds)
-        clock["running"] = not clock["running"]
-        return clock["now"]
-
-    monkeypatch.setattr(cli_module, "time", SimpleNamespace(perf_counter=perf_counter))
-    assert gc.isenabled()
-    code, report = cmd_bench(RunConfig(seed=0), depths=[5, 4], methods=("hd", "dense"), repeats=2)
-    assert code == 0 and gc.isenabled()
-    # every round runs from the deepest configuration down
-    one_round = [(5, "explain_dense"), (5, "explain"), (4, "explain_dense"), (4, "explain")]
-    assert [c[:2] for c in calls] == one_round + one_round
-    assert not any(c[2] for c in calls)  # the collector is off while the clock runs
-    assert [(r["depth"], r["method"]) for r in report.records] == [(4, "hd"), (4, "dense"), (5, "hd"), (5, "dense")]
-    assert [r["wall_time_seconds"] for r in report.records] == [0.5, 5.0, 1.0, 2.0]
-
-
 def test_bench_skips_dense_beyond_cap(tmp_path):
     config = RunConfig(seed=0)
     code, report = cmd_bench(config, depths=[13], methods=("dense",))
