@@ -160,7 +160,7 @@ def model_from_dict(doc) -> EnsembleModel:
     base_score = doc["base_score"]
     if not isinstance(base_score, (int, float)) or isinstance(base_score, bool):
         raise ParseError("base_score must be a number")
-    if not math.isfinite(base_score):
+    if not _is_finite(base_score):
         raise ValidationError("base_score must be finite")
     names = doc.get("feature_names")
     if names is not None:
@@ -193,7 +193,7 @@ def _build_tree_nodes(nodes, n_features, tree_idx):
             weight = node.get("weight")
             if not _is_number(weight):
                 raise ParseError(f"{where} node {i}: leaf needs a numeric 'weight'")
-            if not math.isfinite(weight):
+            if not _is_finite(weight):
                 raise ValidationError(f"{where} node {i}: leaf weight must be finite")
             built.append(Leaf(float(weight), cover))
             children.append(None)
@@ -208,7 +208,7 @@ def _build_tree_nodes(nodes, n_features, tree_idx):
             threshold = node.get("threshold")
             if not _is_number(threshold):
                 raise ParseError(f"{where} node {i}: split needs a numeric 'threshold'")
-            if not math.isfinite(threshold):
+            if not _is_finite(threshold):
                 raise ValidationError(f"{where} node {i}: threshold must be finite")
             cmp = node.get("cmp", "lt")
             if cmp not in ("lt", "le"):
@@ -251,13 +251,21 @@ def _parse_cover(node, where):
         return None
     if not _is_number(cover):
         raise ParseError(f"{where}: cover must be a number when present")
-    if not math.isfinite(cover) or cover < 0:
+    if not _is_finite(cover) or cover < 0:
         raise ValidationError(f"{where}: cover must be finite and non-negative")
     return float(cover)
 
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    # a JSON integer past float range is not finite as a float either
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _check_covers(root) -> None:

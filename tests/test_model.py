@@ -95,11 +95,20 @@ def test_infinite_threshold_rejected(tmp_path):
         load_canonical(write_doc(tmp_path, doc))
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
 def test_non_finite_base_score_rejected(tmp_path, value):
-    # json writes and reads NaN and Infinity; explain would return a NaN base value
+    # json writes and reads NaN and Infinity; explain would return a NaN base value.
+    # An integer past float range has no finite float either.
     doc = dict(MINIMAL_DOC, base_score=value)
     with pytest.raises(ValidationError, match="base_score must be finite"):
+        load_canonical(write_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize("node, key", [(0, "threshold"), (0, "cover"), (1, "weight"), (1, "cover")])
+def test_node_integer_past_float_range_rejected(tmp_path, node, key):
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["trees"][0][node][key] = 10**400
+    with pytest.raises(ValidationError, match="finite"):
         load_canonical(write_doc(tmp_path, doc))
 
 
