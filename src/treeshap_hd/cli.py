@@ -253,7 +253,7 @@ def _value_lines(result, start=0):
 
 
 def _chunk_rows(n_features) -> int:
-    return max(1, CHUNK_VALUES // n_features)
+    return max(1, CHUNK_VALUES // max(n_features, 1))
 
 
 def _streams(model, functional, n) -> bool:

@@ -9,21 +9,22 @@ against definitional enumeration in the test suite before anything downstream
 trusts it.
 
 The diagonal cache holds, per unique-feature count k, the secondary diagonal
-of every per-position value matrix.  An explain run stores its levels up to
-k = 16 and, for deeper leaves, has the kernel generate each chunk of a row
-from the level's popcount tables (``_generated_level``); nothing keeps them.
+of every per-position value matrix.  A level is a few popcount tables
+(``_generated_level``) from which ``level[rows, cols]`` builds entries.  An
+explain run stores its levels up to k = 16, built whole; for deeper leaves
+the kernel builds each chunk of a row just before it multiplies that chunk.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 
 import numpy as np
 
 from .errors import DepthCapError, InvalidPairError, ValidationError
-from .fastmult import _SignedRows, _sign_plan
 from .patterns import DEFAULT_FEATURE_CAP
 
 SHAPLEY = "shapley"
@@ -146,22 +147,55 @@ def build_diagonal_cache(
         raise ValidationError(f"unknown functional {kind!r}")
     if not 1 <= depth <= cap:
         raise DepthCapError(f"need 1 <= depth <= {cap}, got {depth}")
-    levels = {k: _diagonal_level(k, kind) for k in range(1, depth + 1)}
+    levels = {k: _generated_level(k, kind)[:, :] for k in range(1, depth + 1)}
     return DiagonalCache(kind, depth, levels)
 
 
-def _diagonal_level(k: int, kind: str) -> np.ndarray:
-    # the rows of _generated_level(k, kind): each starts as its all-clear
-    # table and copies the other sign cases over through _sign_plan's views
-    rows = _generated_level(k, kind)
-    out = np.empty(rows.shape)
-    for row, bits in zip(out, rows.bits):
-        shape, _, cases = _sign_plan(bits, 1 << k)
-        row[...] = rows.tables[cases[0][0]]
-        for signs, index, _axes in cases[1:]:
-            table = rows.tables[signs]
-            row.reshape(shape)[index] = table if isinstance(table, float) else table.reshape(shape)[index]
-    return out
+class _SignedRows:
+    """(r, n) diagonals: entry a of row i is ``tables[signs]`` at a (a table is
+    n doubles or a scalar), ``signs`` the bits of a at the descending
+    positions ``bits[i]``.  ``level[rows]`` takes rows and shares the tables;
+    ``level[rows, cols]`` builds those entries as a new C-order array."""
+
+    def __init__(self, bits, tables: dict, n: int):
+        self.bits, self.tables, self.shape = bits, tables, (len(bits), n)
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def __getitem__(self, key):
+        if not isinstance(key, tuple):
+            return _SignedRows(self.bits[key], self.tables, self.shape[1])
+        # each row's run from entry start, n long: n divides start, so each
+        # bit at or above n has one value all through the run, and every
+        # sign case of the bits below n copies its table's part once
+        rows, cols = key
+        start, stop, _ = cols.indices(self.shape[1])
+        bits = self.bits[rows]
+        out = np.empty((len(bits), stop - start))
+        for row, row_bits in zip(out, bits):
+            shape, high_bits, cases = _sign_plan(row_bits, stop - start)
+            high, view = tuple((start >> s) & 1 for s in high_bits), row.reshape(shape)
+            for signs, index in cases:
+                table = self.tables[high + signs]
+                view[index] = table if isinstance(table, float) else table[start:stop].reshape(shape)[index]
+        return out
+
+
+@lru_cache(maxsize=None)
+def _sign_plan(bits: tuple, n: int):
+    # how a row's run of n entries splits by its signs: the (-1, 2,
+    # 2^(s1-s2-1), 2, 2^s2) view at the bits below n, the bits at or above
+    # n, and per sign combination of the low bits its index into the view;
+    # cached per row's bits and run length
+    low = [s for s in bits if 1 << s < n]
+    dims = [1 << (s - below - 1) for s, below in zip(low, low[1:] + [-1])]
+    shape = (-1, *(x for d in dims for x in (2, d)))
+    cases = [
+        (signs, (slice(None), *(x for sign in signs for x in (sign, slice(None)))))
+        for signs in product((0, 1), repeat=len(low))
+    ]
+    return shape, [s for s in bits if 1 << s >= n], cases
 
 
 # the 2^k-entry tables _generated_level gathers per level (Banzhaf's are scalars)

@@ -35,23 +35,16 @@ those passes pair the entries at the same offset in every chunk of the
 block, so a slice of offsets, about one chunk of entries, takes them all in
 L2.  A block of shorter rows goes through its passes 2^16 doubles of whole
 rows at a time.  ``diagonal_matvec`` fills each chunk from f, or multiplies
-it by its chunk of the diagonal, just before that chunk's low passes.  No
+it once by its chunk of the diagonal (a view of a stored block, or a piece a
+generated level builds), just before that chunk's low passes.  No
 low pass reaches outside its chunk, so every entry still gets the same
 additions of the same operands in the same order, and the bits and op
 counts are those of the plain pass-by-pass order.
-
-The diagonal is a stored (r, 2^k) block, or ``_SignedRows``: a 2^k-entry
-table per sign combination of a row's literal bits, from which a chunk's
-diagonal is built as it is multiplied: a generated row is never whole, and
-every entry gets the same multiplicand as from the stored row.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager, nullcontext
-from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -203,56 +196,6 @@ def _transforms(v: np.ndarray, prepares) -> None:
                 _run(*views)
 
 
-class _SignedRows:
-    """(r, n) diagonals: entry a of row i is ``tables[signs]`` at a (a table is
-    n doubles or a scalar), ``signs`` the bits of a at the descending
-    positions ``bits[i]``.  A slice takes rows and shares the tables."""
-
-    def __init__(self, bits, tables: dict, n: int):
-        self.bits, self.tables, self.shape = bits, tables, (len(bits), n)
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __getitem__(self, rows: slice) -> "_SignedRows":
-        return _SignedRows(self.bits[rows], self.tables, self.shape[1])
-
-
-@lru_cache(maxsize=None)
-def _sign_plan(bits: tuple, n: int):
-    # how _sign_parts splits n entries: the (-1, 2, 2^(s1-s2-1), 2, 2^s2) view
-    # at the bits below n, the bits at or above n, and per sign combination of
-    # the low bits its index into the view and the axes that put its longest
-    # axis last (for short runs); cached per row's bits and piece length
-    low = [s for s in bits if 1 << s < n]
-    dims = [1 << (s - below - 1) for s, below in zip(low, low[1:] + [-1])]
-    shape = (-1, *(x for d in dims for x in (2, d)))
-    part = (n // math.prod(dims) >> len(low), *dims)
-    axes = tuple(range(len(part)))
-    if part[-1] < 16 < n >> len(low):  # numpy iterates short runs slowly
-        axes = tuple(sorted(axes, key=part.__getitem__))
-    cases = [
-        (signs, (slice(None), *(x for sign in signs for x in (sign, slice(None)))), axes)
-        for signs in product((0, 1), repeat=len(low))
-    ]
-    return shape, [s for s in bits if 1 << s >= n], cases
-
-
-def _sign_parts(piece: np.ndarray, start: int, bits: tuple, tables: dict):
-    # (part of piece, multiplicand) pairs that cover piece, the run of a row
-    # from entry start, once, for C-order iteration; its length n divides
-    # start, so each bit at or above n has one value all through the piece
-    n = piece.size
-    shape, high_bits, cases = _sign_plan(bits, n)
-    view = piece.reshape(shape)
-    high = tuple((start >> s) & 1 for s in high_bits)
-    for signs, index, axes in cases:
-        table = tables[high + signs]
-        if not isinstance(table, float):
-            table = table[start : start + n].reshape(shape)[index].transpose(axes)
-        yield view[index].transpose(axes), table
-
-
 def _zeta_inplace(v: np.ndarray) -> None:
     # along the last axis of a C-contiguous v: k passes, ascending bit
     # position, each doing v.size/2 additions
@@ -275,14 +218,15 @@ def diagonal_matvec(diag, f) -> np.ndarray:
     Unrolled form of the halving recursion r = [M2 v2, M2 v2 + M3 (v1+v2)]:
     the downward v1+v2 accumulations are one zeta pass over the complement-
     reindexed input, the upward r1+r2 accumulations are the second pass.
-    ``diag`` is one diagonal of length 2^k, or an (r, 2^k) block of them
-    (an array, or ``_SignedRows``);
+    ``diag`` is one diagonal of length 2^k, or an (r, 2^k) block of them:
+    an array, or a level that builds its entries on request
+    (``cubes._generated_level``), whose ``diag[rows, cols]`` is a new array;
     row i of a block's (r, 2^k) result is bit-identical to
     ``diagonal_matvec(diag[i], f)``, and the block costs r times the adds and
     muls of one.  Inputs are never mutated.
     """
-    signed = isinstance(diag, _SignedRows)
-    diag = diag if signed else np.asarray(diag, dtype=np.float64)
+    generated = hasattr(diag, "tables")  # a generated level is never whole
+    diag = diag if generated else np.asarray(diag, dtype=np.float64)
     if len(diag.shape) not in (1, 2):
         raise LengthError(f"expected one diagonal or a block of them, got shape {diag.shape}")
     n = diag.shape[-1]
@@ -295,17 +239,12 @@ def diagonal_matvec(diag, f) -> np.ndarray:
         _counter.muls += g.size
     # g[a] = f[~a] in every row; each piece is filled, or multiplied by its
     # piece of the diagonal, right before its low passes, while it is in cache
-    rev, g2, d2 = f[::-1], g.reshape(-1, n), diag if signed else diag.reshape(-1, n)
+    rev, g2, d2 = f[::-1], g.reshape(-1, n), diag if generated else diag.reshape(-1, n)
 
     def fill(rows, cols):
         g2[rows, cols] = rev[cols]
 
     def scale(rows, cols):
-        if signed:
-            for i in range(*rows.indices(len(g2))):
-                for part, table in _sign_parts(g2[i, cols], cols.start or 0, d2.bits[i], d2.tables):
-                    np.multiply(part, table, out=part, order="C")
-            return
         piece = g2[rows, cols]
         np.multiply(piece, d2[rows, cols], out=piece)
 

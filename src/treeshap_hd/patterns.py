@@ -33,6 +33,7 @@ DEFAULT_FEATURE_CAP = 26  # 2**26 doubles per work vector; hard memory guard
 
 _DTYPE = np.uint32
 _ONE = _DTYPE(1)
+_WIDTH = np.iinfo(_DTYPE).bits  # unique features a pattern can hold, whatever the cap
 
 
 class LeafPatterns(NamedTuple):
@@ -114,6 +115,8 @@ def iter_leaf_patterns(
                 raise DepthCapError(
                     f"path exceeds {cap} unique features; raise the cap to proceed"
                 )
+            if len(feats) >= _WIDTH:
+                raise DepthCapError(f"path exceeds {_WIDTH} unique features: patterns are {_WIDTH}-bit")
             pos = len(feats)
             feats = feats + (node.feature,)
         else:

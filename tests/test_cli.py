@@ -434,6 +434,23 @@ def test_bad_model_path_exits_2(tmp_path):
     assert code == 2
 
 
+def test_zero_feature_model_exits_2(tmp_path, capsys):
+    # trees that are single leaves: the engine's column check names the mismatch
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(
+        {"n_features": 0, "base_score": 0.5, "trees": [[{"kind": "leaf", "weight": 1.0}]]}
+    ))
+    data = tmp_path / "data.csv"
+    write_csv(data, ["x0"], [[1.0], [2.0]])
+    code = main([
+        "explain", "--model", str(model), "--data", str(data),
+        "--mode", "path-dependent", "--output", str(tmp_path / "o.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "1 columns, model expects 0" in err
+
+
 def test_threads_must_be_positive(stump_setup, tmp_path):
     model, data, background = stump_setup
     code = main([

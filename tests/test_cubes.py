@@ -23,9 +23,11 @@ from treeshap_hd.cubes import (
     pair_index,
 )
 from treeshap_hd.errors import DepthCapError, InvalidPairError
+from treeshap_hd.fastmult import _CHUNK
 from treeshap_hd.oracles import diagonal_cubes, map_patterns_to_cubes
 
 from oracle_utils import banzhaf_from_game, cube_game, interaction_from_game, shapley_from_game
+from test_fastmult import _blocks_under_test, _closed_form_rows
 
 
 def test_cube_rejects_contradictory_literals():
@@ -289,3 +291,20 @@ def test_generated_level_tables_match_their_count(kind):
     tables = _generated_level(6, kind).tables.values()
     arrays = {id(t): t for t in tables if isinstance(t, np.ndarray)}.values()
     assert sum(t.nbytes for t in arrays) == _GENERATED_TABLES[kind] * 8 << 6
+
+
+@pytest.mark.parametrize("kind", (SHAPLEY, BANZHAF, INTERACTION))
+@pytest.mark.parametrize("k", (9, 17, 18, 19))
+def test_generated_level_builds_closed_form_entries(k, kind):
+    # level[rows, cols] holds the closed-form rows' entries at cols, for
+    # column slices at 0 and at chunk boundaries; a row's bits at or above
+    # the slice's width take their values from the slice's start
+    level = _generated_level(k, kind)
+    n = 1 << k
+    width = min(_CHUNK, n >> 1)
+    for r0, r1 in _blocks_under_test(k, kind):
+        want = _closed_form_rows(k, kind, level.bits[r0:r1])
+        for c0 in sorted({0, width, n - width}):
+            got = level[r0:r1, c0 : c0 + width]
+            assert got.flags.c_contiguous and got.shape == (r1 - r0, width)
+            assert np.array_equal(got, want[:, c0 : c0 + width]), (r0, r1, c0)

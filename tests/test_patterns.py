@@ -14,6 +14,7 @@ from treeshap_hd.patterns import (
 )
 from treeshap_hd.synthetic import (
     complete_tree_model,
+    deep_path_model,
     random_dataset,
     random_distinct_model,
     random_model,
@@ -64,6 +65,18 @@ def test_generator_order_matches_paths():
 def test_depth_cap_enforced(two_feature_tree):
     with pytest.raises(DepthCapError):
         list(iter_leaf_patterns(two_feature_tree, [[0.1, 0.1]], cap=1))
+
+
+def test_patterns_hold_at_most_32_features():
+    # the deepest leaves of a 34-feature spine would lose their top bits
+    tree = deep_path_model(34).trees[0]
+    rows = np.full((2, 34), 0.25)
+    widest = 0
+    with pytest.raises(DepthCapError, match="32-bit"):
+        for item in iter_leaf_patterns(tree, rows, cap=40):
+            widest = max(widest, len(item.features))
+            assert np.all(item.patterns < np.uint64(1) << len(item.features))
+    assert widest == 32
 
 
 def test_nan_rows_rejected(two_feature_tree):
