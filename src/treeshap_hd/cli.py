@@ -17,7 +17,7 @@ import stat
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain, islice
 
 import numpy as np
@@ -278,6 +278,17 @@ def _projected_bytes(request, chunk_rows=None) -> int:
     return projected_peak_bytes(request, chunk_rows=chunk_rows) + parsed
 
 
+def _budget_streams(budget, request, n) -> bool:
+    """Whether ``budget`` refuses the figure of n consumer rows in one pass
+    but admits the streamed one (see :func:`cmd_explain`)."""
+    chunk = _chunk_rows(request.model.n_features)
+    if budget is None or n <= chunk:
+        return False
+    # the whole file's figure reads only how many rows there are
+    whole = replace(request, consumers=np.broadcast_to(0.0, (n, request.model.n_features)))
+    return _projected_bytes(whole) > budget >= _projected_bytes(request, chunk)
+
+
 def _check_budget(budget, request, chunk_rows=None) -> None:
     if budget is not None:
         projected = _projected_bytes(request, chunk_rows)
@@ -290,8 +301,10 @@ def cmd_explain(config: RunConfig) -> int:
 
     One loop parses, explains and writes the rows.  The run streams when the
     rows and output of one pass would cost more bytes than :func:`prepare`'s
-    products and one chunk of rows and output: it prepares every leaf once,
-    then takes ``CHUNK_VALUES`` values at a time through
+    products and one chunk of rows and output, or when ``--memory-budget``
+    refuses the figure of one pass over the file's rows (as
+    :func:`_data_rows` counts them) but admits the streamed one: it prepares
+    every leaf once, then takes ``CHUNK_VALUES`` values at a time through
     :meth:`PreparedExplainer.rows`.  Otherwise every row is one chunk for one
     :func:`explain` call.  Both write the same bytes.  ``--memory-budget`` is
     checked against :func:`_projected_bytes` before :func:`prepare`, or once
@@ -305,8 +318,7 @@ def cmd_explain(config: RunConfig) -> int:
     if config.threads < 1:
         raise ValidationError("threads must be >= 1")
     path = config.consumer_path
-    streamed = _streams(model, config.functional, _data_rows(path))
-    chunk = _chunk_rows(model.n_features) if streamed else None
+    n = _data_rows(path)
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
         header = _csv_header(reader, path)
@@ -320,6 +332,10 @@ def cmd_explain(config: RunConfig) -> int:
             if model.feature_names is not None and bg_header != model.feature_names:
                 raise ValidationError("background CSV header does not match model feature names")
         request = ExplainRequest(model, None, background, config.mode, config.functional)
+        streamed = _streams(model, config.functional, n) or _budget_streams(
+            config.memory_budget_bytes, request, n
+        )
+        chunk = _chunk_rows(model.n_features) if streamed else None
         if streamed:
             _check_budget(config.memory_budget_bytes, request, chunk)
             prepared = prepare(request, depth_cap=config.depth_cap)

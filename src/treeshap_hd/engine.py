@@ -23,7 +23,12 @@ any consumer rows and takes the second, with the same bits as
 :func:`explain`.
 
 The loop multiplies the cached secondary diagonals with the O(k 2^k) zeta
-kernel.  :func:`projected_peak_bytes` is the one memory projection that
+kernel.  Each run owns one kernel :class:`~treeshap_hd.fastmult.Workspace`,
+so blocks of fewer than 2^12 doubles allocate nothing and rebuild their
+pass views only when the row length changes; a block is consumed before the
+next kernel call.  A leaf's consumer patterns, in its tree's narrow pattern
+dtype, are cast to ``intp`` once per leaf, not on every gather.
+:func:`projected_peak_bytes` is the one memory projection that
 budget guards consult.
 """
 
@@ -38,7 +43,7 @@ import numpy as np
 from .cubes import BANZHAF, INTERACTION, SHAPLEY, _GENERATED_TABLES, _generated_level
 from .cubes import build_diagonal_cache, cache_nbytes
 from .errors import BudgetExceededError, DepthCapError, EmptyBackgroundError, ValidationError
-from .fastmult import diagonal_matvec
+from .fastmult import _UNBUFFERED, Workspace, diagonal_matvec
 from .model import EnsembleModel
 from .patterns import (
     DEFAULT_FEATURE_CAP,
@@ -46,6 +51,7 @@ from .patterns import (
     background_distribution,
     iter_leaf_patterns,
     path_dependent_distribution,
+    pattern_dtype,
 )
 
 BACKGROUND = "background"
@@ -190,14 +196,23 @@ def _loop_bytes(request: ExplainRequest, k_max: int, chunk_rows: int | None = No
     n = len(request.consumers) if chunk_rows is None else chunk_rows
     background = request.background if request.mode == BACKGROUND else None
     m = 0 if background is None else len(background)
-    depth = max((t.max_path_depth for t in model.trees), default=0)
+    # per entry of each dataset, the deepest pattern stack: depth + 1 live
+    # vectors and a split's temporaries, in the tree's pattern dtype
+    stack = max(
+        (
+            (t.max_path_depth + 3) * np.dtype(pattern_dtype(t.max_unique_features)).itemsize
+            for t in model.trees
+        ),
+        default=0,
+    )
     # six 2^k_max vectors: a leaf's distribution, its bincount and the kernel's
     # vector, or the temporaries of building the cache's deepest level; a
     # block of products, at most max(n, 2^k_max) entries, with the zeta
-    # passes' copy of up to 1.5 blocks; one gathered row; per dataset,
-    # depth + 1 live pattern vectors and a split's temporaries
+    # passes' copy of up to 1.5 blocks; the kernel's workspace; one gathered
+    # row and the leaf's intp consumer patterns; the pattern stacks
     block = _block_span(n if chunk_rows is None else max(n, _PREPARE_SPAN), k_max)
-    working = (48 << k_max) + 20 * block + 8 * n + 4 * (depth + 3) * (n + m)
+    workspace = 8 * min(_UNBUFFERED, block)
+    working = (48 << k_max) + 20 * block + workspace + 16 * n + stack * (n + m)
     output = output_nbytes(n, model.n_features, request.functional)
     return _INTERPRETER_BYTES + working + output
 
@@ -209,7 +224,8 @@ class _Kernel(NamedTuple):
     each (matrices, position pairs): for interactions the Shapley matrices
     (pairs None) and then the pair matrices, else the functional's matrices;
     ``k_max`` is the largest k it serves.  ``apply(mats, r0, r1, f)``
-    returns the (r1 - r0, 2^k) products of matrices r0..r1-1 with f.
+    returns the (r1 - r0, 2^k) products of matrices r0..r1-1 with f, which
+    may be overwritten by its next call.
     """
 
     runs: Callable
@@ -221,11 +237,13 @@ def _runs(main, shap=None, pairs=None) -> tuple:
     return ((shap, None), (main, pairs)) if shap is not None else ((main, None),)
 
 
-def _diagonal_kernel(k_max: int, functional: str, cap: int, store_all: bool = False) -> _Kernel:
+def _diagonal_kernel(k_max: int, functional: str, cap: int, span: int, store_all: bool = False) -> _Kernel:
     """Fast path: one :func:`diagonal_matvec` per block of secondary diagonals.
 
     Levels up to ``_STORED_K`` (all with ``store_all``) are views of the cache;
     a deeper level's tables are gathered when first needed, the last one kept.
+    Blocks of at most ``span`` entries; the small ones are multiplied in the
+    kernel's one :class:`Workspace`, so a block is valid until the next call.
     """
     stored = k_max if store_all else min(k_max, _STORED_K)
     kinds = (functional, SHAPLEY) if functional == INTERACTION else (functional,)
@@ -245,10 +263,11 @@ def _diagonal_kernel(k_max: int, functional: str, cap: int, store_all: bool = Fa
             current[k] = level_runs(k)
         return tables[k] if k in tables else current[k]
 
+    workspace = Workspace(span)
     # a lambda, so diagonal_matvec is looked up per call and a wrapper swapped
     # into this module (as the benchmark's trace does) takes effect; the row
     # slice is a view of the cache level, or shares the generated tables
-    return _Kernel(runs, k_max, lambda level, r0, r1, f: diagonal_matvec(level[r0:r1], f))
+    return _Kernel(runs, k_max, lambda level, r0, r1, f: diagonal_matvec(level[r0:r1], f, workspace))
 
 
 def _walk(model, X, B, depth_cap, kernel, span, sink) -> float:
@@ -294,7 +313,8 @@ class _Output:
         """The emit step: gathers row r of P, the product of matrix r0 + r, at the
         consumer patterns pc, scales it by w if given, and adds it into the
         output: a pair's row into both of its entries, an interaction run's
-        Shapley row into the buffer."""
+        Shapley row into the buffer.  pc is ``intp``: numpy would cast any
+        other index dtype on every row's gather."""
         acc = self.phi if pairs is None and self.phi is not None else self.out
         for r, g in enumerate(P, r0):
             t = g[pc]
@@ -363,20 +383,22 @@ def _prepare_and_emit(item, f, kernel, span, sink):
     A block's products are scaled by the leaf weight before they go to
     ``sink.emit``, unless their rows are longer than n: then the weight goes
     with them, and the sink scales each gathered row instead, the same
-    products from fewer multiplies.
+    products from fewer multiplies.  The sink gets the consumer patterns as
+    ``intp``, cast once for the leaf.
     """
     # a function of the module, not a closure, so a run allocates no cells for it
     k = len(item.features)
     w = item.leaf.weight
     block = max(1, span >> k)
-    scale_rows = (1 << k) > len(item.patterns)
+    pc = item.patterns.astype(np.intp)
+    scale_rows = (1 << k) > len(pc)
     for level, pairs in kernel.runs(k):
         rows = len(level)
         for r0 in range(0, rows, block):
             G = kernel.apply(level, r0, min(r0 + block, rows), f)
             if not scale_rows:
                 G *= w
-            sink.emit(item.features, pairs, G, r0, item.patterns, w if scale_rows else None)
+            sink.emit(item.features, pairs, G, r0, pc, w if scale_rows else None)
             del G
 
 
@@ -412,7 +434,8 @@ def explain(
             raise BudgetExceededError(
                 f"projected peak {projected} bytes exceeds budget {memory_budget_bytes}"
             )
-    kernel = _diagonal_kernel(k_max, request.functional, depth_cap, _store_all)
+    span = _block_span(X.shape[0], k_max)  # as _leaf_loop sizes its blocks
+    kernel = _diagonal_kernel(k_max, request.functional, depth_cap, span, _store_all)
     return _leaf_loop(request, model, X, B, kernel, depth_cap=depth_cap)
 
 
@@ -448,10 +471,11 @@ class PreparedExplainer:
         for tree in model.trees:
             for item in iter_leaf_patterns(tree, X, cap=self._depth_cap):
                 k = len(item.features)
+                pc = item.patterns.astype(np.intp)
                 for rows, pairs in self._runs.get(k, ()):
                     end = pos + (rows << k)
                     P = products[pos:end].reshape(rows, 1 << k)
-                    output.emit(item.features, pairs, P, 0, item.patterns)
+                    output.emit(item.features, pairs, P, 0, pc)
                     pos = end
         return AttributionResult(output.values(), self.base_value)
 
@@ -467,8 +491,8 @@ def prepare(request: ExplainRequest, *, depth_cap: int = DEFAULT_FEATURE_CAP) ->
     """
     model, _, B = _validated(request, consumers=False)
     k_max = _max_unique_features(model, depth_cap)
-    kernel = _diagonal_kernel(k_max, request.functional, depth_cap)
     span = _block_span(_PREPARE_SPAN, k_max)
+    kernel = _diagonal_kernel(k_max, request.functional, depth_cap, span)
     sink = _Products(prepared_nbytes(model, request.functional) // 8)
     no_rows = np.empty((0, model.n_features))
     base_value = _walk(model, no_rows, B, depth_cap, kernel, span, sink)

@@ -27,7 +27,11 @@ it): otherwise numpy copies both halves of the passes with 16 <= bit < ~2,730
 through its buffer, which makes them up to 3.5x slower.  On smaller blocks
 the scope costs more than those copies.  A block that fits in one chunk
 (2^16 doubles, 512 KiB) has its pass views built once for both transforms of
-a multiply, which matters where per-call costs do.  Rows longer than one
+a multiply, which matters where per-call costs do.  Where they dominate, in
+a run of many small blocks, the caller passes a :class:`Workspace`: a block
+of fewer than 2^12 doubles is then filled, multiplied and transformed in its
+buffer, on pass views built once per block shape and row length, with no
+allocation.  Rows longer than one
 chunk no longer fit in L2 with their operands, so their passes go in
 cache-sized order: every pass with bit < 2^16 on one chunk of a row, chunk
 after chunk, then the passes with larger bits one column slice at a time:
@@ -44,6 +48,7 @@ counts are those of the plain pass-by-pass order.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
@@ -212,7 +217,36 @@ def subset_zeta(v) -> np.ndarray:
     return v
 
 
-def diagonal_matvec(diag, f) -> np.ndarray:
+class Workspace:
+    """A run's buffer for the kernel's small blocks, and their pass views.
+
+    ``flat`` holds ``min(_UNBUFFERED, span)`` doubles, for a run whose blocks
+    hold at most ``span`` entries.  A block of fewer than ``_UNBUFFERED``
+    doubles is filled, multiplied and transformed in its head.  The pass views
+    of each block shape of the current row length are built on its first call
+    and kept; a call with another row length drops them, so the views of one
+    length at a time stay alive.
+    """
+
+    __slots__ = ("flat", "n", "blocks")
+
+    def __init__(self, span: int):
+        self.flat = np.empty(min(_UNBUFFERED, span))
+        self.n = 0
+        self.blocks = {}  # shape -> (the block, its pass views)
+
+    def block(self, shape: tuple) -> tuple:
+        if shape[-1] != self.n:
+            self.blocks.clear()
+            self.n = shape[-1]
+        entry = self.blocks.get(shape)
+        if entry is None:
+            flat = self.flat[: math.prod(shape)]
+            entry = self.blocks[shape] = (flat.reshape(shape), _pass_views(flat, 1, self.n))
+        return entry
+
+
+def diagonal_matvec(diag, f, workspace: Workspace | None = None) -> np.ndarray:
     """M @ f where M is the structured matrix with secondary diagonal ``diag``.
 
     Unrolled form of the halving recursion r = [M2 v2, M2 v2 + M3 (v1+v2)]:
@@ -223,7 +257,10 @@ def diagonal_matvec(diag, f) -> np.ndarray:
     (``cubes._generated_level``), whose ``diag[rows, cols]`` is a new array;
     row i of a block's (r, 2^k) result is bit-identical to
     ``diagonal_matvec(diag[i], f)``, and the block costs r times the adds and
-    muls of one.  Inputs are never mutated.
+    muls of one.  Inputs are never mutated, and the result is a new array,
+    unless a ``workspace`` is given and the block fits it (fewer than
+    ``_UNBUFFERED`` doubles): then the result is the workspace's block, with
+    the same bits, valid until the next call with that workspace.
     """
     generated = hasattr(diag, "tables")  # a generated level is never whole
     diag = diag if generated else np.asarray(diag, dtype=np.float64)
@@ -234,12 +271,23 @@ def diagonal_matvec(diag, f) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64).reshape(-1)
     if f.size != n:
         raise LengthError(f"diagonal has length {n} but vector has {f.size}")
-    g = np.empty(diag.shape)
+    size = math.prod(diag.shape)
     if _counter is not None:
-        _counter.muls += g.size
+        _counter.muls += size
+    rev = f[::-1]
+    if workspace is not None and size < _UNBUFFERED and size <= workspace.flat.size and not generated:
+        # one piece: the fill, the multiply and the passes of _transforms, on
+        # views built once per block shape
+        g, views = workspace.block(diag.shape)
+        g[...] = rev
+        _run(*views)
+        np.multiply(g, diag, out=g)
+        _run(*views)
+        return g
+    g = np.empty(diag.shape)
     # g[a] = f[~a] in every row; each piece is filled, or multiplied by its
     # piece of the diagonal, right before its low passes, while it is in cache
-    rev, g2, d2 = f[::-1], g.reshape(-1, n), diag if generated else diag.reshape(-1, n)
+    g2, d2 = g.reshape(-1, n), diag if generated else diag.reshape(-1, n)
 
     def fill(rows, cols):
         g2[rows, cols] = rev[cols]

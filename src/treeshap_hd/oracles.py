@@ -23,7 +23,7 @@ from .errors import DepthCapError, LengthError, MissingCoverError, SizeError, St
 from .errors import TooManyFeaturesError, ZeroCoverError
 from .fastmult import _require_power_of_two
 from .model import DecisionTree, EnsembleModel, Leaf, _paths_from
-from .patterns import _DTYPE, _ONE, DEFAULT_FEATURE_CAP, _as_rows
+from .patterns import DEFAULT_FEATURE_CAP, _as_rows
 
 BRUTE_FORCE_FEATURE_CAP = 14
 DENSE_BASELINE_CAP = 12  # explain_dense enumerates 3^k cube entries per leaf
@@ -345,11 +345,13 @@ def leaf_decision_patterns(tree: DecisionTree, rows, cap: int = DEFAULT_FEATURE_
 
     Breadth-first construction, child pattern = (parent << 1) + outcome.  Kept
     as an oracle for :func:`treeshap_hd.patterns.iter_leaf_patterns` on trees
-    without repeated features, where the two encodings coincide.
+    without repeated features, where the two encodings coincide.  Patterns
+    are ``uint32`` whatever the tree's depth.
     """
     X = _as_rows(rows)
+    one = np.uint32(1)
     out: dict[Leaf, np.ndarray] = {}
-    queue = deque([(tree.root, np.zeros(X.shape[0], dtype=_DTYPE), 0)])
+    queue = deque([(tree.root, np.zeros(X.shape[0], dtype=np.uint32), 0)])
     while queue:
         node, pat, d = queue.popleft()
         if isinstance(node, Leaf):
@@ -357,7 +359,7 @@ def leaf_decision_patterns(tree: DecisionTree, rows, cap: int = DEFAULT_FEATURE_
             continue
         if d >= cap:
             raise DepthCapError(f"path exceeds {cap} bits")
-        s = node.goes_left(X[:, node.feature]).astype(_DTYPE)
-        queue.append((node.left, (pat << _ONE) + s, d + 1))
-        queue.append((node.right, (pat << _ONE) + (_ONE - s), d + 1))
+        s = node.goes_left(X[:, node.feature]).astype(np.uint32)
+        queue.append((node.left, (pat << one) + s, d + 1))
+        queue.append((node.right, (pat << one) + (one - s), d + 1))
     return out

@@ -31,15 +31,16 @@ from .model import DecisionTree, Leaf
 
 DEFAULT_FEATURE_CAP = 26  # 2**26 doubles per work vector; hard memory guard
 
-_DTYPE = np.uint32
-_ONE = _DTYPE(1)
-_WIDTH = np.iinfo(_DTYPE).bits  # unique features a pattern can hold, whatever the cap
+
+def pattern_dtype(k: int) -> type:
+    """The narrowest unsigned dtype whose bits hold patterns of k features."""
+    return np.uint8 if k <= 8 else np.uint16 if k <= 16 else np.uint32
 
 
 class LeafPatterns(NamedTuple):
     leaf: Leaf
     features: tuple[int, ...]  # unique path features, first appearance first
-    patterns: np.ndarray  # uint32, one merged pattern per data row
+    patterns: np.ndarray  # one merged pattern per data row, in the tree's pattern_dtype
     background: np.ndarray | None = None  # the same, one per background row
     ratios: tuple[float, ...] | None = None  # per feature, its cover ratio
 
@@ -91,14 +92,17 @@ def iter_leaf_patterns(
     :class:`ZeroCoverError`).  The working set is bounded: a node's pattern
     vectors are reused in place for its left child, and only right-sibling
     vectors wait on the stack, so at most depth+1 vectors per dataset are held
-    at any instant (``stats`` instruments this).
+    at any instant (``stats`` instruments this).  Patterns are of
+    ``pattern_dtype(tree.max_unique_features)``, at most 32 bits.
     """
     data = [_as_rows(rows)]
     if background is not None:
         data.append(_as_rows(background))
     if stats is None:
         stats = PatternMemoryStats()
-    pats = [np.zeros(D.shape[0], dtype=_DTYPE) for D in data]
+    dtype = pattern_dtype(tree.max_unique_features)
+    one, width = dtype(1), np.iinfo(dtype).bits  # width: the features a pattern holds
+    pats = [np.zeros(D.shape[0], dtype=dtype) for D in data]
     stats._alloc(len(data))
     stack = [(tree.root, pats, (), () if covers else None)]
     while stack:
@@ -115,14 +119,14 @@ def iter_leaf_patterns(
                 raise DepthCapError(
                     f"path exceeds {cap} unique features; raise the cap to proceed"
                 )
-            if len(feats) >= _WIDTH:
-                raise DepthCapError(f"path exceeds {_WIDTH} unique features: patterns are {_WIDTH}-bit")
+            if len(feats) >= width:
+                raise DepthCapError(f"path exceeds {width} unique features: patterns are {width}-bit")
             pos = len(feats)
             feats = feats + (node.feature,)
         else:
             pos = feats.index(node.feature)
-            f_bit = _ONE << _DTYPE(len(feats) - 1 - pos)
-            keep = _DTYPE((1 << len(feats)) - 1) - f_bit
+            f_bit = one << dtype(len(feats) - 1 - pos)
+            keep = dtype((1 << len(feats)) - 1) - f_bit
         left_ratios = right_ratios = ratios
         if covers:
             c, cl, cr = node.cover, node.left.cover, node.right.cover
@@ -135,13 +139,13 @@ def iter_leaf_patterns(
             right_ratios = head + (r * (cr / c),) + tail
         rights = []
         for D, pat in zip(data, pats):
-            s = node.goes_left(D[:, node.feature]).astype(_DTYPE)
+            s = node.goes_left(D[:, node.feature]).astype(dtype)
             if new:
-                np.left_shift(pat, _ONE, out=pat)
-                rights.append(pat + (_ONE - s))
+                np.left_shift(pat, one, out=pat)
+                rights.append(pat + (one - s))
                 pat += s  # parent vector becomes the left child's in place
             else:
-                rights.append(pat & (keep + f_bit * (_ONE - s)))
+                rights.append(pat & (keep + f_bit * (one - s)))
                 pat &= keep + f_bit * s
         stats._alloc(len(data))
         stack.append((node.right, rights, feats, right_ratios))

@@ -733,6 +733,42 @@ def test_whole_file_budget_counts_parsed_rows(tmp_path, monkeypatch):
     assert peak <= figure <= 4 * peak, (peak, figure)
 
 
+def test_budget_that_refuses_one_pass_streams(tmp_path, monkeypatch):
+    # 5,460 path-dependent rows take one pass unbudgeted; a budget under that
+    # pass's figure but over the streamed one streams them, to the same bytes
+    model = random_model(2, max_depth=6, n_features=60, n_trees=100)
+    X = random_dataset(np.random.default_rng(0), 5460, 60)
+    write_csv(tmp_path / "d.csv", [f"f{i}" for i in range(60)], X.tolist())
+    monkeypatch.setattr(cli_module, "_load_model", lambda config: model)
+    argv = [
+        "explain", "--model", "unused", "--data", str(tmp_path / "d.csv"),
+        "--mode", "path-dependent", "--output", str(tmp_path / "out.csv"),
+    ]
+    budget = 7_000_000
+    request = ExplainRequest(model, X, None, "path-dependent", SHAPLEY)
+    streamed_figure = cli_module._projected_bytes(request, cli_module._chunk_rows(60))
+    assert not cli_module._streams(model, SHAPLEY, 5460)
+    assert streamed_figure <= budget < cli_module._projected_bytes(request)
+    assert main(argv) == 0
+    want = (tmp_path / "out.csv").read_bytes()
+
+    prepares = []
+
+    def streamed(*args, **kwargs):
+        prepares.append(args)
+        return engine_module.prepare(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "prepare", streamed)
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--memory-budget", str(budget)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(prepares) == 1 and peak <= budget, peak
+    assert (tmp_path / "out.csv").read_bytes() == want
+
+
 def test_piped_rows_take_the_whole_file_loop(tmp_path, monkeypatch, ten_row_chunks):
     # a pipe cannot be counted before it is read: its rows are one chunk,
     # and the budget figure counts them once parsed

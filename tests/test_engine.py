@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import treeshap_hd.engine as engine_module
+import treeshap_hd.fastmult as fastmult_module
 import treeshap_hd.oracles as oracles_module
 from treeshap_hd.cli import RunConfig, _bench_request
 from treeshap_hd.cubes import BANZHAF, INTERACTION, SHAPLEY, build_diagonal_cache
@@ -256,7 +257,7 @@ def test_blocks_fill_the_projected_span(monkeypatch):
     shapes = []
     real = engine_module.diagonal_matvec
     monkeypatch.setattr(
-        engine_module, "diagonal_matvec", lambda d, f: shapes.append(d.shape) or real(d, f)
+        engine_module, "diagonal_matvec", lambda d, f, *rest: shapes.append(d.shape) or real(d, f, *rest)
     )
     explain(ExplainRequest(model, X, None, PATH_DEPENDENT, SHAPLEY))
     # leaves k = 1..7 in one call each, k = 8 in blocks of 4, k = 9 of 2, and
@@ -264,6 +265,49 @@ def test_blocks_fill_the_projected_span(monkeypatch):
     want = Counter({(k, 1 << k): 1 for k in range(1, 8)})
     want.update({(4, 256): 2, (2, 512): 4, (1, 512): 1, (1, 1024): 20})
     assert Counter(shapes) == want
+
+
+def _workspace_cases():
+    # leaves whose row lengths interleave, and k with blocks of two shapes: a
+    # spine's k = 9 takes blocks of 2 rows and of 1 among its neighbours'
+    # lengths; in the depth-8 ensemble (span 256) k = 7 takes 2 and 1
+    spine_rows = random_dataset(np.random.default_rng(3), 4, 10)
+    ensemble = random_model(4, max_depth=8, n_features=12, n_trees=6)
+    rng = np.random.default_rng(4)
+    X, B = random_dataset(rng, 50, 12), random_dataset(rng, 40, 12)
+    return {
+        "spine-10": (deep_path_model(10, 0), spine_rows, None, PATH_DEPENDENT),
+        "depth-8-ensemble": (ensemble, X, B, BACKGROUND),
+    }
+
+
+@pytest.mark.parametrize("functional", [SHAPLEY, BANZHAF, INTERACTION])
+@pytest.mark.parametrize("case", ["spine-10", "depth-8-ensemble"])
+def test_workspace_runs_match_plain_kernel_calls(monkeypatch, case, functional):
+    # explain, _store_all and prepare + rows, against the same runs with every
+    # block a new array of the kernel
+    model, X, B, mode = _workspace_cases()[case]
+    request = ExplainRequest(model, X, B, mode, functional)
+
+    def runs():
+        prepared = prepare(replace(request, consumers=None))
+        return [explain(request), explain(request, _store_all=True), prepared.rows(X), prepared.rows(X[1:3])]
+
+    got = runs()
+    shapes = Counter()
+    real = fastmult_module.diagonal_matvec
+
+    def plain(d, f, *rest):
+        shapes[d.shape] += 1
+        return real(d, f)
+
+    monkeypatch.setattr(engine_module, "diagonal_matvec", plain)
+    want = runs()
+    for g, w in zip(got, want):
+        assert g.values.tobytes() == w.values.tobytes() and g.base_value == w.base_value
+    # one k takes blocks of two shapes under _UNBUFFERED doubles
+    small = [s for s in shapes if s[0] * s[1] < fastmult_module._UNBUFFERED]
+    assert len({s[1] for s in small}) < len(small)
 
 
 def test_background_required():

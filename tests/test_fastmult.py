@@ -24,6 +24,7 @@ from treeshap_hd.fastmult import (
     _UNBUFFERED,
     _transforms,
     _zeta_inplace,
+    Workspace,
     count_operations,
     diagonal_matvec,
     subset_zeta,
@@ -213,6 +214,30 @@ def test_block_matvec_is_stacked_single_calls(k):
             diagonal_matvec(block, np.ones(2 * n))
         with pytest.raises(LengthError):
             diagonal_matvec(np.ones((r, 2 * n)), f)
+
+
+def test_workspace_blocks_match_new_arrays():
+    # small blocks are multiplied in the workspace with the bits and op counts
+    # of a new array; the views of one row length at a time stay alive
+    rng = np.random.default_rng(17)
+    workspace = Workspace(1 << 13)
+    assert workspace.flat.size == _UNBUFFERED
+    shapes = [(3, 256), (3, 256), (2, 256), (1, 512), (512,), (3, 256), (1, 1 << 12), (4, 1024), (2, 8)]
+    for shape in shapes:
+        diag, f = rng.normal(size=shape), rng.normal(size=shape[-1])
+        before = diag.copy(), f.copy()
+        with count_operations() as plain:
+            want = diagonal_matvec(diag, f)
+        with count_operations() as ops:
+            got = diagonal_matvec(diag, f, workspace)
+        assert got.shape == shape and got.tobytes() == want.tobytes()
+        assert (ops.adds, ops.muls) == (plain.adds, plain.muls)
+        assert np.array_equal(diag, before[0]) and np.array_equal(f, before[1])
+        small = diag.size < _UNBUFFERED
+        assert np.shares_memory(got, workspace.flat) == small
+        if small:
+            assert {s[-1] for s in workspace.blocks} == {shape[-1]}
+    assert diagonal_matvec(np.ones(8), np.ones(8), Workspace(4)).base is None  # past the buffer
 
 
 def _edge_values(rng, shape):

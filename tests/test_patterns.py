@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treeshap_hd.patterns as patterns_module
+from treeshap_hd.cubes import INTERACTION, SHAPLEY
+from treeshap_hd.engine import BACKGROUND, PATH_DEPENDENT, ExplainRequest, explain
 from treeshap_hd.errors import DepthCapError, EmptyBackgroundError, MissingCoverError, NaNInputError, ZeroCoverError
-from treeshap_hd.model import DecisionTree, Leaf, SplitNode
+from treeshap_hd.model import DecisionTree, EnsembleModel, Leaf, SplitNode
 from treeshap_hd.oracles import leaf_decision_patterns, root_to_leaf_paths
 from treeshap_hd.patterns import (
     PatternMemoryStats,
@@ -77,6 +80,58 @@ def test_patterns_hold_at_most_32_features():
             widest = max(widest, len(item.features))
             assert np.all(item.patterns < np.uint64(1) << len(item.features))
     assert widest == 32
+
+
+def _spine_with_repeat(k):
+    # a k-feature spine whose deepest split is repeated on the root's feature,
+    # so the merge clears or keeps the pattern's top bit
+    root = deep_path_model(k, 0).trees[0].root
+    node = root
+    while not isinstance(node.left, Leaf) or not isinstance(node.right, Leaf):
+        node = node.left if isinstance(node.left, SplitNode) else node.right
+    cover = node.left.cover
+    node.left = SplitNode(root.feature, 0.3, Leaf(0.7, cover / 2), Leaf(-0.4, cover / 2), cover)
+    return DecisionTree(root)
+
+
+@pytest.mark.parametrize("k, dtype", [(8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32)])
+def test_patterns_take_the_narrowest_dtype(monkeypatch, k, dtype):
+    rng = np.random.default_rng(k)
+    X, B = random_dataset(rng, 60, k), random_dataset(rng, 30, k)
+    tree = deep_path_model(k, 0).trees[0]
+    reference = leaf_decision_patterns(tree, X)  # uint32 at any depth
+    for item in iter_leaf_patterns(tree, X, B):
+        assert item.patterns.dtype == dtype and item.background.dtype == dtype
+        assert np.array_equal(item.patterns, reference[item.leaf])
+    tree = _spine_with_repeat(k)
+    assert tree.max_unique_features == k
+    with pytest.raises(DepthCapError, match=f"path exceeds {k - 1} unique features; raise the cap"):
+        list(iter_leaf_patterns(tree, X, cap=k - 1))
+    # merged patterns: the same integers as a walk in uint32
+    narrow = list(iter_leaf_patterns(tree, X, B))
+    monkeypatch.setattr(patterns_module, "pattern_dtype", lambda k: np.uint32)
+    wide = list(iter_leaf_patterns(tree, X, B))
+    for a, b in zip(narrow, wide, strict=True):
+        assert a.patterns.dtype == dtype and a.features == b.features
+        assert np.array_equal(a.patterns, b.patterns) and np.array_equal(a.background, b.background)
+
+
+@pytest.mark.parametrize("k", [8, 9, 16, 17])
+def test_narrow_patterns_explain_like_uint32_ones(monkeypatch, k):
+    rng = np.random.default_rng(k)
+    X, B = random_dataset(rng, 6, k), random_dataset(rng, 20, k)
+    model = EnsembleModel([_spine_with_repeat(k), deep_path_model(k, 1).trees[0]], k, 0.1)
+    requests = [
+        ExplainRequest(model, X, B, BACKGROUND, SHAPLEY),
+        ExplainRequest(model, X, None, PATH_DEPENDENT, SHAPLEY),
+    ]
+    if k <= 9:
+        requests.append(ExplainRequest(model, X, B, BACKGROUND, INTERACTION))
+    got = [explain(r) for r in requests]
+    monkeypatch.setattr(patterns_module, "pattern_dtype", lambda k: np.uint32)
+    for g, r in zip(got, requests):
+        w = explain(r)
+        assert g.values.tobytes() == w.values.tobytes() and g.base_value == w.base_value
 
 
 def test_nan_rows_rejected(two_feature_tree):
