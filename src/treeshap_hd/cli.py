@@ -17,7 +17,7 @@ import stat
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 
 import numpy as np
@@ -267,15 +267,17 @@ def _streams(model, functional, n) -> bool:
     return n > chunk and state + rows_and_output(chunk) < rows_and_output(n)
 
 
-def _projected_bytes(request, chunk_rows=None) -> int:
+def _projected_bytes(request, chunk_rows=None, n_rows=None) -> int:
     """The budget figure of an explain run: the engine's projection
     (:func:`projected_peak_bytes`, for chunks of ``chunk_rows`` rows when
-    given), plus the parsed consumer rows (``request.consumers``, or one chunk)
-    and background rows, each with the growth buffer ``np.fromiter`` fills."""
-    n = len(request.consumers) if chunk_rows is None else chunk_rows
+    given, else for one pass over ``n_rows`` rows, by default
+    ``request.consumers``), plus the parsed consumer rows (all of them, or one
+    chunk) and background rows, each with the growth buffer ``np.fromiter``
+    fills."""
+    n = chunk_rows if chunk_rows is not None else len(request.consumers) if n_rows is None else n_rows
     m = 0 if request.background is None else len(request.background)
     parsed = 16 * request.model.n_features * (n + m)
-    return projected_peak_bytes(request, chunk_rows=chunk_rows) + parsed
+    return projected_peak_bytes(request, chunk_rows=chunk_rows, n_rows=n_rows) + parsed
 
 
 def _budget_streams(budget, request, n) -> bool:
@@ -284,9 +286,7 @@ def _budget_streams(budget, request, n) -> bool:
     chunk = _chunk_rows(request.model.n_features)
     if budget is None or n <= chunk:
         return False
-    # the whole file's figure reads only how many rows there are
-    whole = replace(request, consumers=np.broadcast_to(0.0, (n, request.model.n_features)))
-    return _projected_bytes(whole) > budget >= _projected_bytes(request, chunk)
+    return _projected_bytes(request, n_rows=n) > budget >= _projected_bytes(request, chunk)
 
 
 def _check_budget(budget, request, chunk_rows=None) -> None:

@@ -162,7 +162,7 @@ def output_nbytes(n: int, n_features: int, functional: str) -> int:
 
 
 def projected_peak_bytes(
-    request: ExplainRequest, *, chunk_rows: int | None = None, _store_all=False
+    request: ExplainRequest, *, chunk_rows: int | None = None, n_rows: int | None = None, _store_all=False
 ) -> int:
     """Upper estimate of the bytes an :func:`explain` run allocates at its peak.
 
@@ -171,7 +171,8 @@ def projected_peak_bytes(
     tables, plus the same for Shapley values for interactions), one leaf's
     working vectors and the pattern stacks of its tree walk, and the output,
     which every leaf adds into.  The consumer and background rows are not
-    counted.
+    counted.  ``n_rows``, when given, is the run's row count in place of
+    ``len(request.consumers)``, which is then not read.
 
     With ``chunk_rows``, the estimate is for a two-phase run instead:
     :func:`prepare`, whose products it adds, then
@@ -186,14 +187,14 @@ def projected_peak_bytes(
         tables += sum(_GENERATED_TABLES[kind] for kind in kinds) << (k_max + 3)
     if chunk_rows is not None:
         tables += prepared_nbytes(request.model, request.functional)
-    return tables + _loop_bytes(request, k_max, chunk_rows)
+    return tables + _loop_bytes(request, k_max, chunk_rows, n_rows)
 
 
-def _loop_bytes(request: ExplainRequest, k_max: int, chunk_rows: int | None = None) -> int:
+def _loop_bytes(request: ExplainRequest, k_max: int, chunk_rows=None, n_rows=None) -> int:
     """What :func:`projected_peak_bytes` counts besides the kernel's tables:
     working vectors, pattern stacks, output and the interpreter's objects."""
     model = request.model
-    n = len(request.consumers) if chunk_rows is None else chunk_rows
+    n = chunk_rows if chunk_rows is not None else len(request.consumers) if n_rows is None else n_rows
     background = request.background if request.mode == BACKGROUND else None
     m = 0 if background is None else len(background)
     # per entry of each dataset, the deepest pattern stack: depth + 1 live
@@ -237,13 +238,13 @@ def _runs(main, shap=None, pairs=None) -> tuple:
     return ((shap, None), (main, pairs)) if shap is not None else ((main, None),)
 
 
-def _diagonal_kernel(k_max: int, functional: str, cap: int, span: int, store_all: bool = False) -> _Kernel:
+def _diagonal_kernel(k_max: int, functional: str, cap: int, store_all: bool = False) -> _Kernel:
     """Fast path: one :func:`diagonal_matvec` per block of secondary diagonals.
 
     Levels up to ``_STORED_K`` (all with ``store_all``) are views of the cache;
     a deeper level's tables are gathered when first needed, the last one kept.
-    Blocks of at most ``span`` entries; the small ones are multiplied in the
-    kernel's one :class:`Workspace`, so a block is valid until the next call.
+    Small blocks are multiplied in the kernel's one :class:`Workspace`, so a
+    block is valid until the next call.
     """
     stored = k_max if store_all else min(k_max, _STORED_K)
     kinds = (functional, SHAPLEY) if functional == INTERACTION else (functional,)
@@ -263,7 +264,7 @@ def _diagonal_kernel(k_max: int, functional: str, cap: int, span: int, store_all
             current[k] = level_runs(k)
         return tables[k] if k in tables else current[k]
 
-    workspace = Workspace(span)
+    workspace = Workspace()
     # a lambda, so diagonal_matvec is looked up per call and a wrapper swapped
     # into this module (as the benchmark's trace does) takes effect; the row
     # slice is a view of the cache level, or shares the generated tables
@@ -434,8 +435,7 @@ def explain(
             raise BudgetExceededError(
                 f"projected peak {projected} bytes exceeds budget {memory_budget_bytes}"
             )
-    span = _block_span(X.shape[0], k_max)  # as _leaf_loop sizes its blocks
-    kernel = _diagonal_kernel(k_max, request.functional, depth_cap, span, _store_all)
+    kernel = _diagonal_kernel(k_max, request.functional, depth_cap, _store_all)
     return _leaf_loop(request, model, X, B, kernel, depth_cap=depth_cap)
 
 
@@ -491,8 +491,8 @@ def prepare(request: ExplainRequest, *, depth_cap: int = DEFAULT_FEATURE_CAP) ->
     """
     model, _, B = _validated(request, consumers=False)
     k_max = _max_unique_features(model, depth_cap)
+    kernel = _diagonal_kernel(k_max, request.functional, depth_cap)
     span = _block_span(_PREPARE_SPAN, k_max)
-    kernel = _diagonal_kernel(k_max, request.functional, depth_cap, span)
     sink = _Products(prepared_nbytes(model, request.functional) // 8)
     no_rows = np.empty((0, model.n_features))
     base_value = _walk(model, no_rows, B, depth_cap, kernel, span, sink)

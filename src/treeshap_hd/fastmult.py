@@ -27,11 +27,11 @@ it): otherwise numpy copies both halves of the passes with 16 <= bit < ~2,730
 through its buffer, which makes them up to 3.5x slower.  On smaller blocks
 the scope costs more than those copies.  A block that fits in one chunk
 (2^16 doubles, 512 KiB) has its pass views built once for both transforms of
-a multiply, which matters where per-call costs do.  Where they dominate, in
-a run of many small blocks, the caller passes a :class:`Workspace`: a block
-of fewer than 2^12 doubles is then filled, multiplied and transformed in its
-buffer, on pass views built once per block shape and row length, with no
-allocation.  Rows longer than one
+a multiply, which matters where per-call costs do.  A block of fewer than
+2^12 doubles is filled, multiplied and transformed as that one piece, in a
+new array or, where per-call costs dominate, in a run of many small blocks,
+in the buffer of the caller's :class:`Workspace`, on pass views built once
+per block shape and row length, with no allocation.  Rows longer than one
 chunk no longer fit in L2 with their operands, so their passes go in
 cache-sized order: every pass with bit < 2^16 on one chunk of a row, chunk
 after chunk, then the passes with larger bits one column slice at a time:
@@ -220,28 +220,32 @@ def subset_zeta(v) -> np.ndarray:
 class Workspace:
     """A run's buffer for the kernel's small blocks, and their pass views.
 
-    ``flat`` holds ``min(_UNBUFFERED, span)`` doubles, for a run whose blocks
-    hold at most ``span`` entries.  A block of fewer than ``_UNBUFFERED``
-    doubles is filled, multiplied and transformed in its head.  The pass views
-    of each block shape of the current row length are built on its first call
-    and kept; a call with another row length drops them, so the views of one
+    A block of fewer than ``_UNBUFFERED`` doubles is filled, multiplied and
+    transformed in the head of ``flat``, which grows to the largest such block
+    it is asked for.  The pass views of each block shape of the current row
+    length are built on its first call and kept; a call with another row
+    length, or one that grows the buffer, drops them, so the views of one
     length at a time stay alive.
     """
 
     __slots__ = ("flat", "n", "blocks")
 
-    def __init__(self, span: int):
-        self.flat = np.empty(min(_UNBUFFERED, span))
+    def __init__(self):
+        self.flat = np.empty(0)
         self.n = 0
         self.blocks = {}  # shape -> (the block, its pass views)
 
     def block(self, shape: tuple) -> tuple:
-        if shape[-1] != self.n:
-            self.blocks.clear()
-            self.n = shape[-1]
         entry = self.blocks.get(shape)
         if entry is None:
-            flat = self.flat[: math.prod(shape)]
+            size = math.prod(shape)
+            if shape[-1] != self.n:
+                self.blocks.clear()
+                self.n = shape[-1]
+            if size > self.flat.size:
+                self.blocks.clear()
+                self.flat = np.empty(size)
+            flat = self.flat[:size]
             entry = self.blocks[shape] = (flat.reshape(shape), _pass_views(flat, 1, self.n))
         return entry
 
@@ -258,8 +262,8 @@ def diagonal_matvec(diag, f, workspace: Workspace | None = None) -> np.ndarray:
     row i of a block's (r, 2^k) result is bit-identical to
     ``diagonal_matvec(diag[i], f)``, and the block costs r times the adds and
     muls of one.  Inputs are never mutated, and the result is a new array,
-    unless a ``workspace`` is given and the block fits it (fewer than
-    ``_UNBUFFERED`` doubles): then the result is the workspace's block, with
+    unless a ``workspace`` is given and the block is an array of fewer than
+    ``_UNBUFFERED`` doubles: then the result is the workspace's block, with
     the same bits, valid until the next call with that workspace.
     """
     generated = hasattr(diag, "tables")  # a generated level is never whole
@@ -275,10 +279,14 @@ def diagonal_matvec(diag, f, workspace: Workspace | None = None) -> np.ndarray:
     if _counter is not None:
         _counter.muls += size
     rev = f[::-1]
-    if workspace is not None and size < _UNBUFFERED and size <= workspace.flat.size and not generated:
-        # one piece: the fill, the multiply and the passes of _transforms, on
-        # views built once per block shape
-        g, views = workspace.block(diag.shape)
+    if size < _UNBUFFERED and not generated:
+        # one piece, in a new array or the workspace's block: the fill, the
+        # multiply and the passes of _transforms, on one set of views
+        if workspace is None:
+            g = np.empty(diag.shape)
+            views = _pass_views(g.reshape(-1), 1, n)
+        else:
+            g, views = workspace.block(diag.shape)
         g[...] = rev
         _run(*views)
         np.multiply(g, diag, out=g)

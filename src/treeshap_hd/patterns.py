@@ -38,6 +38,13 @@ def pattern_dtype(k: int) -> type:
 
 
 class LeafPatterns(NamedTuple):
+    """One leaf's path features and the rows' merged patterns.
+
+    The patterns are in the tree's :func:`pattern_dtype`, as narrow as
+    ``uint8``: widen them (``astype``) before arithmetic that can carry past
+    the tree's k bits, such as a shift or an added bit, which would wrap.
+    """
+
     leaf: Leaf
     features: tuple[int, ...]  # unique path features, first appearance first
     patterns: np.ndarray  # one merged pattern per data row, in the tree's pattern_dtype

@@ -218,11 +218,12 @@ def test_block_matvec_is_stacked_single_calls(k):
 
 def test_workspace_blocks_match_new_arrays():
     # small blocks are multiplied in the workspace with the bits and op counts
-    # of a new array; the views of one row length at a time stay alive
+    # of a new array; the buffer grows to the largest small block, and the
+    # views of one row length at a time stay alive
     rng = np.random.default_rng(17)
-    workspace = Workspace(1 << 13)
-    assert workspace.flat.size == _UNBUFFERED
-    shapes = [(3, 256), (3, 256), (2, 256), (1, 512), (512,), (3, 256), (1, 1 << 12), (4, 1024), (2, 8)]
+    workspace = Workspace()
+    shapes = [(1, 256), (3, 256), (1, 256), (2, 256), (1, 512), (512,), (3, 256), (1, 1 << 12), (4, 1024), (2, 8)]
+    largest = 0
     for shape in shapes:
         diag, f = rng.normal(size=shape), rng.normal(size=shape[-1])
         before = diag.copy(), f.copy()
@@ -236,8 +237,9 @@ def test_workspace_blocks_match_new_arrays():
         small = diag.size < _UNBUFFERED
         assert np.shares_memory(got, workspace.flat) == small
         if small:
+            largest = max(largest, diag.size)
+            assert workspace.flat.size == largest
             assert {s[-1] for s in workspace.blocks} == {shape[-1]}
-    assert diagonal_matvec(np.ones(8), np.ones(8), Workspace(4)).base is None  # past the buffer
 
 
 def _edge_values(rng, shape):
