@@ -176,20 +176,26 @@ def _parsed_row(r, row, header, path):
     return parsed
 
 
-def _data_rows(path) -> int:
-    """Data rows of a headered CSV, counted from its line ends without parsing it.
+def _data_rows(path) -> tuple:
+    """Data rows of a headered CSV, counted from its line ends without parsing it,
+    and whether that count is exact.
 
-    An upper bound: a quoted cell may span lines.  Anything but a regular
-    file counts as 0, as reading a pipe would consume it.
+    A quoted cell may span lines, so the count can exceed the rows; it is
+    exact when the file holds no ``"`` byte (csv keeps a line end only inside
+    quotes) and no blank line, which would fail to parse (a bare ``\r`` ends
+    a row too, so it can only make the count fall short).  Anything but a
+    regular file counts as 0, not exact, as reading a pipe would consume it.
     """
     if not os.path.isfile(path):
-        return 0
-    lines, last = 0, b"\n"
+        return 0, False
+    lines, tail, exact = 0, b"\n", True
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
             lines += block.count(b"\n")
-            last = block[-1:]
-    return max(0, lines + (last != b"\n") - 1)
+            edge = tail + block  # a blank line may straddle two blocks
+            exact = exact and b'"' not in block and b"\n\n" not in edge and b"\n\r\n" not in edge
+            tail = block[-2:]
+    return max(0, lines + (tail[-1:] != b"\n") - 1), exact
 
 
 def _load_model(config: RunConfig):
@@ -289,9 +295,9 @@ def _budget_streams(budget, request, n) -> bool:
     return _projected_bytes(request, n_rows=n) > budget >= _projected_bytes(request, chunk)
 
 
-def _check_budget(budget, request, chunk_rows=None) -> None:
+def _check_budget(budget, request, chunk_rows=None, n_rows=None) -> None:
     if budget is not None:
-        projected = _projected_bytes(request, chunk_rows)
+        projected = _projected_bytes(request, chunk_rows, n_rows)
         if projected > budget:
             raise BudgetExceededError(f"projected peak {projected} bytes exceeds budget {budget}")
 
@@ -308,7 +314,8 @@ def cmd_explain(config: RunConfig) -> int:
     :meth:`PreparedExplainer.rows`.  Otherwise every row is one chunk for one
     :func:`explain` call.  Both write the same bytes.  ``--memory-budget`` is
     checked against :func:`_projected_bytes` before :func:`prepare`, or once
-    the whole file's rows are parsed.
+    the whole file's rows are parsed, and also before that when
+    :func:`_data_rows` counts them exactly.
     """
     model = _load_model(config)
     if config.consumer_path is None:
@@ -318,7 +325,7 @@ def cmd_explain(config: RunConfig) -> int:
     if config.threads < 1:
         raise ValidationError("threads must be >= 1")
     path = config.consumer_path
-    n = _data_rows(path)
+    n, exact = _data_rows(path)
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
         header = _csv_header(reader, path)
@@ -339,6 +346,8 @@ def cmd_explain(config: RunConfig) -> int:
         if streamed:
             _check_budget(config.memory_budget_bytes, request, chunk)
             prepared = prepare(request, depth_cap=config.depth_cap)
+        elif exact:  # the figure of the parsed rows, known before they are parsed
+            _check_budget(config.memory_budget_bytes, request, n_rows=n)
         X = _read_rows(reader, header, path, chunk)
         if not streamed:
             request.consumers = X

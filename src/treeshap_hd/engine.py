@@ -14,20 +14,25 @@ two steps:
   and adds it into one feature-major output, (F, n) or (F, F, n).
 
 Only emit reads the consumer rows.  :func:`explain` takes both steps per
-block of max(1, max(n, 2^K) >> k) matrices, for n consumer rows and K the
-model's largest k, in one serial pass: trees in model order, leaves
-depth-first, every leaf adding into the same output, so a run holds no
-per-tree results.  :func:`prepare` takes the first step for every leaf once
-and keeps the products; :meth:`PreparedExplainer.rows` walks the trees on
-any consumer rows and takes the second, with the same bits as
-:func:`explain`.
+block of max(1, span >> k) matrices, span = max(n, 2^K, min(K 2^K, 2^12))
+for n consumer rows and K the model's largest k, in one serial pass: trees
+in model order, leaves depth-first, every leaf adding into the same output,
+so a run holds no per-tree results.  Consecutive leaves with the same k
+whose products together fit in one block of fewer than 2^12 doubles, up to
+three, share one kernel call: each leaf's rows are filled from its own f,
+and each leaf is then scaled and emitted in walk order, with the bits,
+adds and multiplies of one call per leaf.  :func:`prepare` takes the first
+step for every leaf once and keeps the products;
+:meth:`PreparedExplainer.rows` walks the trees on any consumer rows and
+takes the second, with the same bits as :func:`explain`.
 
 The loop multiplies the cached secondary diagonals with the O(k 2^k) zeta
 kernel.  Each run owns one kernel :class:`~treeshap_hd.fastmult.Workspace`,
-so blocks of fewer than 2^12 doubles allocate nothing and rebuild their
-pass views only when the row length changes; a block is consumed before the
-next kernel call.  A leaf's consumer patterns, in its tree's narrow pattern
-dtype, are cast to ``intp`` once per leaf, not on every gather.
+so blocks of fewer than 2^12 doubles allocate nothing, run under one
+ufunc-buffer scope for the run, and rebuild their pass views only when the
+block shape changes; a block is consumed before the next kernel call.  A
+leaf's consumer patterns, in its tree's narrow pattern dtype, are cast to
+``intp`` once per block, not on every gather.
 :func:`projected_peak_bytes` is the one memory projection that
 budget guards consult.
 """
@@ -69,9 +74,13 @@ _INTERPRETER_BYTES = 64 << 10
 _STORED_K = 16
 
 # prepare multiplies blocks of up to max(2^12, 2^K) entries, as explain does
-# for 2^12 consumer rows: the leaves of a depth-8 model take one kernel call
-# per run of matrices, and a block is at most 32 KiB beyond the deepest f
+# for 2^12 consumer rows: a depth-8 leaf takes one kernel call per run of
+# matrices, and a block is at most 32 KiB beyond the deepest f
 _PREPARE_SPAN = 1 << 12
+
+# one kernel call multiplies the products of up to this many consecutive
+# leaves with the same k, when together they fit in one small block
+_BATCH_LEAVES = 3
 
 
 @dataclass
@@ -131,11 +140,13 @@ def _block_span(n: int, k_max: int) -> int:
     """Entries in the leaf loop's largest block of products, for n consumer rows.
 
     A leaf with k features multiplies max(1, span >> k) matrices per kernel
-    call: a block holds one gathered row, or f of the deepest leaf, so the
-    shallow leaves of a deep model take several rows per call and Python and
-    numpy call costs do not swamp their few additions.
+    call: a block holds one gathered row, f of the deepest leaf, or up to
+    2^12 entries, enough for all K·2^K products of a leaf with K <= 8
+    features, so the shallow leaves of a deep model take several rows per
+    call, small leaves all of theirs, and Python and numpy call costs do not
+    swamp their few additions.
     """
-    return max(n, 1 << k_max)
+    return max(n, 1 << k_max, min(k_max << k_max, _UNBUFFERED))
 
 
 def _matrices_per_leaf(k: int, functional: str) -> int:
@@ -208,12 +219,15 @@ def _loop_bytes(request: ExplainRequest, k_max: int, chunk_rows=None, n_rows=Non
     )
     # six 2^k_max vectors: a leaf's distribution, its bincount and the kernel's
     # vector, or the temporaries of building the cache's deepest level; a
-    # block of products, at most max(n, 2^k_max) entries, with the zeta
-    # passes' copy of up to 1.5 blocks; the kernel's workspace; one gathered
-    # row and the leaf's intp consumer patterns; the pattern stacks
+    # block of products, at most _block_span entries, with the zeta passes'
+    # copy of up to 1.5 blocks; the kernel's workspace; the leaves waiting
+    # for a shared kernel call, their consumer patterns and their
+    # distributions, which fit in a workspace block with their products; one
+    # gathered row and a leaf's intp consumer patterns; the pattern stacks
     block = _block_span(n if chunk_rows is None else max(n, _PREPARE_SPAN), k_max)
     workspace = 8 * min(_UNBUFFERED, block)
-    working = (48 << k_max) + 20 * block + workspace + 16 * n + stack * (n + m)
+    waiting = (_BATCH_LEAVES - 1) * n * np.dtype(pattern_dtype(k_max)).itemsize + workspace
+    working = (48 << k_max) + 20 * block + workspace + waiting + 16 * n + stack * (n + m)
     output = output_nbytes(n, model.n_features, request.functional)
     return _INTERPRETER_BYTES + working + output
 
@@ -224,9 +238,9 @@ class _Kernel(NamedTuple):
     ``runs(k)`` returns a leaf's runs of matrices in the order it emits them,
     each (matrices, position pairs): for interactions the Shapley matrices
     (pairs None) and then the pair matrices, else the functional's matrices;
-    ``k_max`` is the largest k it serves.  ``apply(mats, r0, r1, f)``
-    returns the (r1 - r0, 2^k) products of matrices r0..r1-1 with f, which
-    may be overwritten by its next call.
+    ``k_max`` is the largest k it serves.  ``apply(mats, r0, r1, fs)``
+    returns the (L, r1 - r0, 2^k) products of matrices r0..r1-1 with each of
+    the L vectors fs, which may be overwritten by its next call.
     """
 
     runs: Callable
@@ -268,19 +282,46 @@ def _diagonal_kernel(k_max: int, functional: str, cap: int, store_all: bool = Fa
     # a lambda, so diagonal_matvec is looked up per call and a wrapper swapped
     # into this module (as the benchmark's trace does) takes effect; the row
     # slice is a view of the cache level, or shares the generated tables
-    return _Kernel(runs, k_max, lambda level, r0, r1, f: diagonal_matvec(level[r0:r1], f, workspace))
+    return _Kernel(runs, k_max, lambda level, r0, r1, fs: diagonal_matvec(level[r0:r1], fs, workspace))
+
+
+class _Leaf(NamedTuple):
+    """A leaf waiting for the leaf body: its features, weight, consumer
+    patterns (in the tree's pattern dtype) and distribution."""
+
+    features: tuple
+    weight: float
+    patterns: np.ndarray
+    f: np.ndarray
+
+
+def _leaves_per_call(kernel, k, span) -> int:
+    """How many consecutive leaves with k features one kernel call multiplies.
+
+    Up to ``_BATCH_LEAVES`` whose matrices are one run and, all together, one
+    block of at most ``span`` and fewer than ``_UNBUFFERED`` doubles, so the
+    block stays in the run's workspace; any other leaf takes its calls alone.
+    """
+    runs = kernel.runs(k)
+    if len(runs) > 1:
+        return 1
+    size = len(runs[0][0]) << k
+    return max(1, min(_BATCH_LEAVES, span // size, (_UNBUFFERED - 1) // size))
 
 
 def _walk(model, X, B, depth_cap, kernel, span, sink) -> float:
-    """The one tree walk and leaf body; returns the base value.
+    """The one tree walk; returns the base value.
 
-    Per leaf, builds its distribution f and adds its share of the base value,
-    then, for a leaf with features, takes the prepare step block by block and
-    hands each block to ``sink.emit`` (:func:`_prepare_and_emit`).  Trees go
-    in model order and leaves depth-first; each tree's share is summed apart
-    and added in model order.
+    Per leaf, builds its distribution f and adds its share of the base value.
+    A leaf with features then waits in a batch of consecutive leaves with
+    its k, up to :func:`_leaves_per_call` of them; a full batch, or one that
+    the next leaf's k or the walk's end closes, goes through the leaf body
+    (:func:`_prepare_and_emit`), so every leaf reaches ``sink.emit`` in walk
+    order.  Trees go in model order and leaves depth-first; each tree's
+    share is summed apart and added in model order.
     """
     base_total = 0.0
+    batch, per_call = [], {}
     for tree in model.trees:
         base = 0.0
         for item in iter_leaf_patterns(tree, X, B, covers=B is None, cap=depth_cap):
@@ -289,10 +330,21 @@ def _walk(model, X, B, depth_cap, kernel, span, sink) -> float:
             else:
                 f = path_dependent_distribution(item.ratios)
             base += item.leaf.weight * f[-1]  # f[-1]: the share that reaches the leaf
-            if item.features:
-                _prepare_and_emit(item, f, kernel, span, sink)
-            del f  # freed before the next leaf's distribution is built
+            k = len(item.features)
+            if k:
+                if batch and len(batch[0].features) != k:
+                    _prepare_and_emit(batch, kernel, span, sink)
+                    batch = []
+                batch.append(_Leaf(item.features, item.leaf.weight, item.patterns, f))
+                if k not in per_call:
+                    per_call[k] = _leaves_per_call(kernel, k, span)
+                if len(batch) == per_call[k]:
+                    _prepare_and_emit(batch, kernel, span, sink)
+                    batch = []
+            del f, item  # a leaf that does not wait is freed before the next one's f is built
         base_total += base
+    if batch:
+        _prepare_and_emit(batch, kernel, span, sink)
     return float(model.base_score + base_total)
 
 
@@ -378,29 +430,32 @@ def _leaf_loop(request, model, X, B, kernel, *, depth_cap):
     return AttributionResult(output.values(), base_value)
 
 
-def _prepare_and_emit(item, f, kernel, span, sink):
-    """The leaf body: the products of the leaf's matrices with f, a block at a time.
+def _prepare_and_emit(leaves, kernel, span, sink):
+    """The leaf body: the products of each leaf's matrices with its f, a block at a time.
 
-    A block's products are scaled by the leaf weight before they go to
-    ``sink.emit``, unless their rows are longer than n: then the weight goes
-    with them, and the sink scales each gathered row instead, the same
-    products from fewer multiplies.  The sink gets the consumer patterns as
-    ``intp``, cast once for the leaf.
+    ``leaves`` are consecutive leaves with the same k.  A block multiplies
+    the same matrices by every leaf's f in one kernel call, and each leaf's
+    rows then go to ``sink.emit`` in walk order.  A leaf's products are
+    scaled by its weight before they go to the sink, unless their rows are
+    longer than n: then the weight goes with them, and the sink scales each
+    gathered row instead, the same products from fewer multiplies.  The sink
+    gets a leaf's consumer patterns as ``intp``, cast once per block.
     """
     # a function of the module, not a closure, so a run allocates no cells for it
-    k = len(item.features)
-    w = item.leaf.weight
+    k = len(leaves[0].features)
     block = max(1, span >> k)
-    pc = item.patterns.astype(np.intp)
-    scale_rows = (1 << k) > len(pc)
+    scale_rows = (1 << k) > len(leaves[0].patterns)
+    fs = [leaf.f for leaf in leaves]
     for level, pairs in kernel.runs(k):
         rows = len(level)
         for r0 in range(0, rows, block):
-            G = kernel.apply(level, r0, min(r0 + block, rows), f)
-            if not scale_rows:
-                G *= w
-            sink.emit(item.features, pairs, G, r0, pc, w if scale_rows else None)
-            del G
+            G = kernel.apply(level, r0, min(r0 + block, rows), fs)
+            for leaf, P in zip(leaves, G):
+                if not scale_rows:
+                    P *= leaf.weight
+                pc = leaf.patterns.astype(np.intp)
+                sink.emit(leaf.features, pairs, P, r0, pc, leaf.weight if scale_rows else None)
+            del G, P, pc
 
 
 def explain(

@@ -24,14 +24,18 @@ same in both layouts.
 Blocks of 2^12 doubles or more run their passes with numpy's ufunc buffer
 cut to 64 elements (``np.setbufsize`` inside ``np.errstate``, which restores
 it): otherwise numpy copies both halves of the passes with 16 <= bit < ~2,730
-through its buffer, which makes them up to 3.5x slower.  On smaller blocks
-the scope costs more than those copies.  A block that fits in one chunk
-(2^16 doubles, 512 KiB) has its pass views built once for both transforms of
-a multiply, which matters where per-call costs do.  A block of fewer than
-2^12 doubles is filled, multiplied and transformed as that one piece, in a
-new array or, where per-call costs dominate, in a run of many small blocks,
-in the buffer of the caller's :class:`Workspace`, on pass views built once
-per block shape and row length, with no allocation.  Rows longer than one
+through its buffer, which makes them up to 3.5x slower.  A block that fits
+in one chunk (2^16 doubles, 512 KiB) has its pass views built once for both
+transforms of a multiply, which matters where per-call costs do.  A block of
+fewer than 2^12 doubles is filled, multiplied and transformed as that one
+piece, in a new array or, where per-call costs dominate, in a run of many
+small blocks, in the buffer of the caller's :class:`Workspace`, on pass
+views kept while the block shape stays the same, with no allocation, and
+under the buffer cut, which the workspace scopes once for the run: a scope
+per block would cost more than the buffer copies it saves, but once set the
+cut takes one (8, 256) multiply's tracemalloc peak from 26,048 to 1,472 B.  The
+vector may be a stack of several, each filling its own group of rows of
+the block, so the leaves that share a k share one call.  Rows longer than one
 chunk no longer fit in L2 with their operands, so their passes go in
 cache-sized order: every pass with bit < 2^16 on one chunk of a row, chunk
 after chunk, then the passes with larger bits one column slice at a time:
@@ -48,6 +52,7 @@ counts are those of the plain pass-by-pass order.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from contextlib import contextmanager, nullcontext
 
@@ -218,36 +223,73 @@ def subset_zeta(v) -> np.ndarray:
 
 
 class Workspace:
-    """A run's buffer for the kernel's small blocks, and their pass views.
+    """A run's buffer for the kernel's small blocks, their pass views and buffer scope.
 
     A block of fewer than ``_UNBUFFERED`` doubles is filled, multiplied and
     transformed in the head of ``flat``, which grows to the largest such block
-    it is asked for.  The pass views of each block shape of the current row
-    length are built on its first call and kept; a call with another row
-    length, or one that grows the buffer, drops them, so the views of one
-    length at a time stay alive.
+    it is asked for.  The pass views of the last block shape are kept and
+    reused while the calls keep that shape; another shape builds its own in
+    their place.  The blocks run in ``context``, a copy of the caller's
+    context in which numpy's ufunc buffer is cut to ``_BUFSIZE`` elements
+    once for the run: entering it costs one C call, where an ``np.errstate``
+    scope per block would cost more than the buffer copies it saves, and the
+    caller's own numpy calls keep its buffer size.
     """
 
-    __slots__ = ("flat", "n", "blocks")
+    __slots__ = ("flat", "shape", "entry", "context")
 
     def __init__(self):
         self.flat = np.empty(0)
-        self.n = 0
-        self.blocks = {}  # shape -> (the block, its pass views)
+        self.shape = None
+        self.entry = None  # the block of that shape and its pass views
+        self.context = contextvars.copy_context()
+        self.context.run(np.setbufsize, _BUFSIZE)
 
     def block(self, shape: tuple) -> tuple:
-        entry = self.blocks.get(shape)
-        if entry is None:
+        if shape != self.shape:
             size = math.prod(shape)
-            if shape[-1] != self.n:
-                self.blocks.clear()
-                self.n = shape[-1]
             if size > self.flat.size:
-                self.blocks.clear()
+                self.entry = None  # its views would keep the old buffer alive
                 self.flat = np.empty(size)
             flat = self.flat[:size]
-            entry = self.blocks[shape] = (flat.reshape(shape), _pass_views(flat, 1, self.n))
-        return entry
+            self.shape, self.entry = shape, (flat.reshape(shape), _pass_views(flat, 1, shape[-1]))
+        return self.entry
+
+
+def _vectors(f, n: int) -> tuple:
+    # f as a list of float64 vectors of n entries, and whether it was a stack
+    # of them: a 2-D array, or a sequence of vectors, which is not copied into one
+    stacked = isinstance(f, (list, tuple)) and len(f) > 0 and np.ndim(f[0]) == 1 or np.ndim(f) == 2
+    vectors = [np.asarray(v, dtype=np.float64) for v in f] if stacked else [np.asarray(f, dtype=np.float64).reshape(-1)]
+    for v in vectors:
+        if v.ndim != 1 or v.size != n:
+            raise LengthError(f"diagonal has length {n} but vector has shape {v.shape}")
+    return vectors, stacked
+
+
+def _multiply_small(g, views, vectors, diag) -> None:
+    # one piece: each group of rows filled from its vector reversed, then the
+    # passes of _transforms, the multiply and the passes again, on one set of views
+    for part, v in zip(g, vectors):
+        part[...] = v[::-1]
+    _run(*views)
+    np.multiply(g, diag, out=g)
+    _run(*views)
+
+
+def _multiply_large(part, v, d2) -> None:
+    # part[a] = v[~a] in every row; each piece is filled, or multiplied by its
+    # piece of the diagonal, right before its low passes, while it is in cache
+    rev = v[::-1]
+
+    def fill(rows, cols):
+        part[rows, cols] = rev[cols]
+
+    def scale(rows, cols):
+        piece = part[rows, cols]
+        np.multiply(piece, d2[rows, cols], out=piece)
+
+    _transforms(part, (fill, scale))
 
 
 def diagonal_matvec(diag, f, workspace: Workspace | None = None) -> np.ndarray:
@@ -261,10 +303,15 @@ def diagonal_matvec(diag, f, workspace: Workspace | None = None) -> np.ndarray:
     (``cubes._generated_level``), whose ``diag[rows, cols]`` is a new array;
     row i of a block's (r, 2^k) result is bit-identical to
     ``diagonal_matvec(diag[i], f)``, and the block costs r times the adds and
-    muls of one.  Inputs are never mutated, and the result is a new array,
-    unless a ``workspace`` is given and the block is an array of fewer than
-    ``_UNBUFFERED`` doubles: then the result is the workspace's block, with
-    the same bits, valid until the next call with that workspace.
+    muls of one.  ``f`` is one vector of 2^k entries, or a stack of L of
+    them: an (L, 2^k) array, or a sequence of L vectors, which is not copied
+    into one.  A stack's result is (L,) + ``diag.shape``, group i
+    bit-identical to ``diagonal_matvec(diag, f[i])``, for L times the adds
+    and muls.  Inputs are never mutated, and the result is a new array,
+    unless a ``workspace`` is given and the result is of fewer than
+    ``_UNBUFFERED`` doubles and ``diag`` an array: then it is the
+    workspace's block, with the same bits, valid until the next call with
+    that workspace.
     """
     generated = hasattr(diag, "tables")  # a generated level is never whole
     diag = diag if generated else np.asarray(diag, dtype=np.float64)
@@ -272,37 +319,22 @@ def diagonal_matvec(diag, f, workspace: Workspace | None = None) -> np.ndarray:
         raise LengthError(f"expected one diagonal or a block of them, got shape {diag.shape}")
     n = diag.shape[-1]
     _require_power_of_two(n)
-    f = np.asarray(f, dtype=np.float64).reshape(-1)
-    if f.size != n:
-        raise LengthError(f"diagonal has length {n} but vector has {f.size}")
-    size = math.prod(diag.shape)
+    vectors, stacked = _vectors(f, n)
+    shape = (len(vectors),) + diag.shape  # one group of rows per vector
+    size = math.prod(shape)
     if _counter is not None:
         _counter.muls += size
-    rev = f[::-1]
     if size < _UNBUFFERED and not generated:
-        # one piece, in a new array or the workspace's block: the fill, the
-        # multiply and the passes of _transforms, on one set of views
+        # one piece, in a new array or the workspace's block
         if workspace is None:
-            g = np.empty(diag.shape)
-            views = _pass_views(g.reshape(-1), 1, n)
+            g = np.empty(shape)
+            _multiply_small(g, _pass_views(g.reshape(-1), 1, n), vectors, diag)
         else:
-            g, views = workspace.block(diag.shape)
-        g[...] = rev
-        _run(*views)
-        np.multiply(g, diag, out=g)
-        _run(*views)
-        return g
-    g = np.empty(diag.shape)
-    # g[a] = f[~a] in every row; each piece is filled, or multiplied by its
-    # piece of the diagonal, right before its low passes, while it is in cache
-    g2, d2 = g.reshape(-1, n), diag if generated else diag.reshape(-1, n)
-
-    def fill(rows, cols):
-        g2[rows, cols] = rev[cols]
-
-    def scale(rows, cols):
-        piece = g2[rows, cols]
-        np.multiply(piece, d2[rows, cols], out=piece)
-
-    _transforms(g, (fill, scale))
-    return g
+            g, views = workspace.block(shape)
+            workspace.context.run(_multiply_small, g, views, vectors, diag)
+    else:
+        g = np.empty(shape)
+        d2 = diag if generated else diag.reshape(-1, n)
+        for part, v in zip(g, vectors):
+            _multiply_large(part.reshape(-1, n), v, d2)
+    return g if stacked else g[0]

@@ -206,7 +206,7 @@ def _sparse_tables(k: int, functional: str):
 def _dense_kernel(k_max: int, functional: str) -> _Kernel:
     """Regression anchor: the sparse value matrices, O(3^k) per product."""
     tables = {k: _runs(*_sparse_tables(k, functional)) for k in range(1, k_max + 1)}
-    return _Kernel(tables.get, k_max, lambda mats, r0, r1, f: np.stack([m.dot(f) for m in mats[r0:r1]]))
+    return _Kernel(tables.get, k_max, lambda mats, r0, r1, fs: np.array([[m.dot(f) for m in mats[r0:r1]] for f in fs]))
 
 
 def explain_dense(

@@ -769,6 +769,59 @@ def test_budget_that_refuses_one_pass_streams(tmp_path, monkeypatch):
     assert (tmp_path / "out.csv").read_bytes() == want
 
 
+def test_budget_refusing_both_figures_exits_before_parsing(tmp_path, monkeypatch):
+    # a regular file with no quote and no blank line has as many rows as line
+    # ends: a budget under both of its figures refuses it before any parse
+    model = random_model(2, max_depth=6, n_features=60, n_trees=100)
+    X = random_dataset(np.random.default_rng(0), 5460, 60)
+    write_csv(tmp_path / "d.csv", [f"f{i}" for i in range(60)], X.tolist())
+    monkeypatch.setattr(cli_module, "_load_model", lambda config: model)
+    request = ExplainRequest(model, X, None, "path-dependent", SHAPLEY)
+    budget = 5_000_000
+    assert cli_module._projected_bytes(request, cli_module._chunk_rows(60)) > budget
+    assert cli_module._projected_bytes(request) > budget
+
+    def unparsed(*args, **kwargs):
+        raise AssertionError("rows parsed before the budget refused them")
+
+    monkeypatch.setattr(cli_module, "_read_rows", unparsed)
+    argv = [
+        "explain", "--model", "unused", "--data", str(tmp_path / "d.csv"),
+        "--mode", "path-dependent", "--output", str(tmp_path / "out.csv"),
+        "--memory-budget", str(budget),
+    ]
+    assert main(argv) == 3
+    assert sorted(os.listdir(tmp_path)) == ["d.csv"]
+
+
+def test_budget_counts_quoted_rows_once_parsed(tmp_path, monkeypatch):
+    # line ends inside quoted cells are not rows: a budget that fits the three
+    # parsed rows runs, though it would refuse as many rows as the file has
+    # lines; a blank line keeps its parse error under a budget that refuses
+    model = random_model(12, max_depth=6, n_features=6, n_trees=2)
+    X = random_dataset(np.random.default_rng(5), 3, 6)
+    header = ",".join(f"f{i}" for i in range(6))
+    spread = "\n".join(",".join('"' + "\n" * 200 + repr(v) + '"' for v in row) for row in X.tolist())
+    (tmp_path / "d.csv").write_text(header + "\n" + spread + "\n")
+    monkeypatch.setattr(cli_module, "_load_model", lambda config: model)
+    argv = [
+        "explain", "--model", "unused", "--data", str(tmp_path / "d.csv"),
+        "--mode", "path-dependent", "--output", str(tmp_path / "out.csv"),
+    ]
+    lines, exact = cli_module._data_rows(tmp_path / "d.csv")
+    assert lines == 3 * 6 * 200 + 3 and not exact
+    request = ExplainRequest(model, X, None, "path-dependent", SHAPLEY)
+    budget = cli_module._projected_bytes(request)
+    assert cli_module._projected_bytes(request, n_rows=lines) > budget
+    assert main(argv + ["--memory-budget", str(budget)]) == 0
+    _, rows = read_output(tmp_path / "out.csv")
+    assert np.array_equal(np.array(rows)[:, 2:], explain(request).values)
+
+    (tmp_path / "d.csv").write_text(header + "\n" + "\n".join(",".join(map(repr, r)) for r in X.tolist()) + "\n\n")
+    assert cli_module._data_rows(tmp_path / "d.csv") == (4, False)
+    assert main(argv + ["--memory-budget", "64"]) == 2
+
+
 def test_piped_rows_take_the_whole_file_loop(tmp_path, monkeypatch, ten_row_chunks):
     # a pipe cannot be counted before it is read: its rows are one chunk,
     # and the budget figure counts them once parsed

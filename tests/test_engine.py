@@ -29,6 +29,7 @@ from treeshap_hd.errors import (
 )
 from treeshap_hd.fastmult import count_operations
 from treeshap_hd.model import DecisionTree, EnsembleModel, Leaf, SplitNode
+from treeshap_hd.patterns import iter_leaf_patterns
 from treeshap_hd.oracles import (
     brute_force_background,
     brute_force_path_dependent,
@@ -214,12 +215,13 @@ def test_values_are_a_view_of_the_feature_major_output(functional):
 @pytest.mark.parametrize("mode", (BACKGROUND, PATH_DEPENDENT))
 @pytest.mark.parametrize("functional", ALL_FUNCTIONALS)
 def test_values_do_not_depend_on_block_size(functional, mode):
-    # a leaf's rows are multiplied in blocks of max(1, max(n, 2^8) >> k) here:
-    # with 4 rows a depth-4 leaf takes all 4 rows in one call, with 1000 rows
-    # a depth-8 leaf takes 3 a call
+    # a leaf's rows are multiplied in blocks of max(1, span >> k), span =
+    # max(n, 2^8, 8 2^8) here: with 4 rows or 1 a depth-8 leaf's 28 pair rows
+    # take blocks of 8 and depth-7 leaves share calls two at a time, with
+    # 4500 rows the pairs take 17 and 11 a call and three depth-7 leaves share one
     model = random_model(7, max_depth=8, n_features=20, n_trees=3)
     rng = np.random.default_rng(7)
-    X = random_dataset(rng, 1000, 20)
+    X = random_dataset(rng, 4500, 20)
     B = random_dataset(rng, 50, 20) if mode == BACKGROUND else None
     assert max(t.max_unique_features for t in model.trees) == 8
     many = explain(ExplainRequest(model, X, B, mode, functional))
@@ -249,28 +251,39 @@ def test_prepared_rows_match_explain(functional, mode):
     assert prepared.nbytes == prepared_nbytes(model, functional)
 
 
+def _recorded_calls(monkeypatch):
+    # (leaves, rows, 2^k) of every kernel call the engine makes
+    calls = []
+    real = engine_module.diagonal_matvec
+
+    def recorded(d, fs, *rest):
+        calls.append((len(fs),) + d.shape)
+        return real(d, fs, *rest)
+
+    monkeypatch.setattr(engine_module, "diagonal_matvec", recorded)
+    return calls
+
+
 def test_blocks_fill_the_projected_span(monkeypatch):
-    # a block holds up to max(n, 2^K) entries, the span projected_peak_bytes
-    # counts, so the shallow leaves of a deep model take their rows at once
+    # a block holds up to max(n, 2^K, min(K 2^K, 2^12)) entries, the span
+    # projected_peak_bytes counts, so the shallow leaves of a deep model take
+    # their rows at once; shapes are (leaves, rows, 2^k), and a spine has one
+    # leaf per k but the last, whose two leaves are too large to share a call
     model = deep_path_model(10, 0)
     X = random_dataset(np.random.default_rng(3), 4, 10)
-    shapes = []
-    real = engine_module.diagonal_matvec
-    monkeypatch.setattr(
-        engine_module, "diagonal_matvec", lambda d, f, *rest: shapes.append(d.shape) or real(d, f, *rest)
-    )
+    shapes = _recorded_calls(monkeypatch)
     explain(ExplainRequest(model, X, None, PATH_DEPENDENT, SHAPLEY))
-    # leaves k = 1..7 in one call each, k = 8 in blocks of 4, k = 9 of 2, and
-    # the two k = 10 leaves one row a call
-    want = Counter({(k, 1 << k): 1 for k in range(1, 8)})
-    want.update({(4, 256): 2, (2, 512): 4, (1, 512): 1, (1, 1024): 20})
+    # leaves k = 1..8 in one call each, k = 9 in blocks of 8 rows and 1, and
+    # the two k = 10 leaves in blocks of 4, 4 and 2
+    want = Counter({(1, k, 1 << k): 1 for k in range(1, 9)})
+    want.update({(1, 8, 512): 1, (1, 1, 512): 1, (1, 4, 1024): 4, (1, 2, 1024): 2})
     assert Counter(shapes) == want
 
 
 def _workspace_cases():
-    # leaves whose row lengths interleave, and k with blocks of two shapes: a
-    # spine's k = 9 takes blocks of 2 rows and of 1 among its neighbours'
-    # lengths; in the depth-8 ensemble (span 256) k = 7 takes 2 and 1
+    # leaves whose row lengths interleave, and row lengths with blocks of two
+    # shapes: in the depth-8 ensemble (span 2048) batches of 1, 2 and 3 leaves
+    # of one k, in interaction runs a leaf's Shapley rows and its pair rows
     spine_rows = random_dataset(np.random.default_rng(3), 4, 10)
     ensemble = random_model(4, max_depth=8, n_features=12, n_trees=6)
     rng = np.random.default_rng(4)
@@ -297,17 +310,108 @@ def test_workspace_runs_match_plain_kernel_calls(monkeypatch, case, functional):
     shapes = Counter()
     real = fastmult_module.diagonal_matvec
 
-    def plain(d, f, *rest):
-        shapes[d.shape] += 1
-        return real(d, f)
+    def plain(d, fs, *rest):
+        shapes[(len(fs),) + d.shape] += 1
+        return real(d, fs)
 
     monkeypatch.setattr(engine_module, "diagonal_matvec", plain)
     want = runs()
     for g, w in zip(got, want):
         assert g.values.tobytes() == w.values.tobytes() and g.base_value == w.base_value
-    # one k takes blocks of two shapes under _UNBUFFERED doubles
-    small = [s for s in shapes if s[0] * s[1] < fastmult_module._UNBUFFERED]
-    assert len({s[1] for s in small}) < len(small)
+    # a spine's Shapley and Banzhaf leaves take one small block shape per k
+    # (one leaf per k, and blocks of 2^12 doubles but the last)
+    if case == "depth-8-ensemble" or functional == INTERACTION:
+        # one row length takes blocks of two shapes under _UNBUFFERED doubles
+        small = [s for s in shapes if np.prod(s) < fastmult_module._UNBUFFERED]
+        assert len({s[-1] for s in small}) < len(small)
+
+
+def _law_cases():
+    rng = np.random.default_rng(8)
+    ensemble = random_model(8, max_depth=8, n_features=14, n_trees=5)
+    X, B = random_dataset(rng, 6, 14), random_dataset(rng, 30, 14)
+    spine_rows = random_dataset(rng, 3, 10)
+    return {
+        "depth-8-ensemble": (ensemble, X, B, BACKGROUND),
+        "spine-10": (deep_path_model(10, 0), spine_rows, None, PATH_DEPENDENT),
+    }
+
+
+@pytest.mark.parametrize("functional", ALL_FUNCTIONALS)
+@pytest.mark.parametrize("case", ["depth-8-ensemble", "spine-10"])
+def test_whole_runs_obey_the_op_count_law(case, functional):
+    # a run's kernel adds and multiplies are those of one 2^k multiply per
+    # matrix of every leaf, however its blocks are cut and its leaves batched:
+    # adds = sum of leaves_by_k[k] m(k) k 2^k, muls = sum of leaves_by_k[k] m(k) 2^k,
+    # with m(k) = k matrices a leaf, or k + k(k-1)/2 for interactions
+    model, X, B, mode = _law_cases()[case]
+    assert max(t.max_unique_features for t in model.trees) in (8, 10)
+    request = ExplainRequest(model, X, B, mode, functional)
+    leaves = Counter()
+    for tree in model.trees:
+        leaves.update(tree.leaves_by_k)
+    m = {k: k + k * (k - 1) // 2 if functional == INTERACTION else k for k in leaves}
+    law = (
+        sum(c * m[k] * k * 2**k for k, c in leaves.items()),
+        sum(c * m[k] * 2**k for k, c in leaves.items()),
+    )
+    for run in (
+        lambda: explain(request),
+        lambda: explain(request, _store_all=True),
+        lambda: prepare(replace(request, consumers=None)),
+    ):
+        with count_operations() as ops:
+            run()
+        assert (ops.adds, ops.muls) == law
+
+
+@pytest.mark.parametrize("mode", (BACKGROUND, PATH_DEPENDENT))
+@pytest.mark.parametrize("functional", (SHAPLEY, BANZHAF))
+def test_batched_leaves_match_one_leaf_per_call(monkeypatch, functional, mode):
+    # consecutive leaves with one k share a kernel call; each leaf's rows are
+    # filled from its own f and reach the output (or prepare's products) in
+    # walk order, so every run has the bits, base value, adds and multiplies
+    # of the same run with one leaf a call, in fewer calls
+    model = random_model(12, max_depth=7, n_features=10, n_trees=4, base_score=0.1)
+    request = request_for(model, 12, mode, functional, n=40, m=30)
+
+    def runs():
+        with count_operations() as ops:
+            prepared = prepare(replace(request, consumers=None))
+            whole = [explain(request), explain(request, _store_all=True)]
+        parts = [prepared.rows(request.consumers[a:b]) for a, b in ((0, 13), (13, 14), (14, 40))]
+        values = [r.values.tobytes() for r in whole] + [b"".join(p.values.tobytes() for p in parts)]
+        bases = [r.base_value for r in whole + parts] + [prepared.base_value]
+        return values, bases, (ops.adds, ops.muls), prepared._products.tobytes()
+
+    calls = _recorded_calls(monkeypatch)
+    got = runs()
+    batched = list(calls)
+    calls.clear()
+    cap = engine_module._BATCH_LEAVES
+    monkeypatch.setattr(engine_module, "_BATCH_LEAVES", 1)
+    want = runs()
+    assert got == want
+    assert max(c[0] for c in batched) == cap > 1
+    assert {c[0] for c in calls} == {1} and len(batched) < len(calls)
+    # a batch holds leaves of one k: its leaves multiply the same rows
+    assert sum(c[0] * c[1] for c in batched) == sum(c[1] for c in calls)
+
+
+def test_batches_close_at_a_change_of_k(monkeypatch):
+    # leaves wait for a shared call only behind leaves with their own k
+    model = random_model(12, max_depth=7, n_features=10, n_trees=4)
+    request = request_for(model, 12, BACKGROUND, SHAPLEY, n=40, m=30)
+    walk = [
+        len(item.features)
+        for tree in model.trees
+        for item in iter_leaf_patterns(tree, request.consumers)
+        if item.features
+    ]
+    calls = _recorded_calls(monkeypatch)
+    explain(request)
+    # every leaf takes its k rows in one call here (span 2^12 >= L k 2^k)
+    assert [c[1:] for c in calls for _ in range(c[0])] == [(k, 1 << k) for k in walk]
 
 
 def test_background_required():
@@ -395,6 +499,17 @@ def test_projected_peak_bounds_measured_peak(functional, n_trees, threads, mode)
     model = random_model(0, max_depth=6, n_features=16, n_trees=n_trees)
     request = request_for(model, 0, mode, functional, n=400, m=50)
     peak = _traced_peak(lambda: explain(request, threads=threads))
+    projected = projected_peak_bytes(request)
+    assert peak <= projected <= 4 * peak, (peak, projected)
+
+
+def test_projected_peak_bounds_ensemble_peak():
+    # the real-ensemble benchmark's model and row counts: leaves wait for
+    # shared kernel calls, in blocks of up to 2^11 doubles
+    model = random_model(0, max_depth=8, n_features=20, n_trees=100)
+    request = request_for(model, 3101, BACKGROUND, SHAPLEY, n=1000, m=200)
+    explain(request)
+    peak = _traced_peak(lambda: explain(request))
     projected = projected_peak_bytes(request)
     assert peak <= projected <= 4 * peak, (peak, projected)
 

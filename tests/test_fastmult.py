@@ -218,28 +218,53 @@ def test_block_matvec_is_stacked_single_calls(k):
 
 def test_workspace_blocks_match_new_arrays():
     # small blocks are multiplied in the workspace with the bits and op counts
-    # of a new array; the buffer grows to the largest small block, and the
-    # views of one row length at a time stay alive
+    # of a new array, under the workspace's cut ufunc buffer; the buffer grows
+    # to the largest small block, and the views of the last shape stay alive
     rng = np.random.default_rng(17)
     workspace = Workspace()
-    shapes = [(1, 256), (3, 256), (1, 256), (2, 256), (1, 512), (512,), (3, 256), (1, 1 << 12), (4, 1024), (2, 8)]
+    # (leaves in a stack, or None for one vector; the diagonal's shape)
+    cases = [
+        (None, (1, 256)), (None, (3, 256)), (None, (1, 256)), (2, (1, 256)), (None, (2, 256)),
+        (None, (1, 512)), (None, (512,)), (3, (3, 256)), (None, (1, 1 << 12)), (2, (4, 256)),
+        (None, (4, 1024)), (3, (2, 8)), (3, (2, 8)),
+    ]
     largest = 0
-    for shape in shapes:
-        diag, f = rng.normal(size=shape), rng.normal(size=shape[-1])
+    for leaves, shape in cases:
+        diag = rng.normal(size=shape)
+        f = rng.normal(size=shape[-1] if leaves is None else (leaves, shape[-1]))
         before = diag.copy(), f.copy()
         with count_operations() as plain:
             want = diagonal_matvec(diag, f)
         with count_operations() as ops:
-            got = diagonal_matvec(diag, f, workspace)
-        assert got.shape == shape and got.tobytes() == want.tobytes()
+            got = diagonal_matvec(diag, list(f) if leaves else f, workspace)
+        assert got.shape == want.shape == ((leaves,) if leaves else ()) + shape
+        assert got.tobytes() == want.tobytes()
         assert (ops.adds, ops.muls) == (plain.adds, plain.muls)
         assert np.array_equal(diag, before[0]) and np.array_equal(f, before[1])
-        small = diag.size < _UNBUFFERED
+        small = got.size < _UNBUFFERED
         assert np.shares_memory(got, workspace.flat) == small
         if small:
-            largest = max(largest, diag.size)
-            assert workspace.flat.size == largest
-            assert {s[-1] for s in workspace.blocks} == {shape[-1]}
+            largest = max(largest, got.size)
+            assert workspace.flat.size == largest and workspace.shape == (leaves or 1,) + shape
+    assert workspace.context.run(np.getbufsize) == _BUFSIZE != np.getbufsize()
+
+
+@pytest.mark.parametrize("k", (1, 3, 8, 13))
+def test_stacked_vectors_are_single_calls(k):
+    # an (L, 2^k) stack, as an array or a list of vectors, gives group i the
+    # bits of a call with vector i alone, for L times the adds and muls
+    rng = np.random.default_rng(300 + k)
+    n = 1 << k
+    diag, F = rng.normal(size=(min(k, 3), n)), rng.normal(size=(3, n))
+    want = np.stack([diagonal_matvec(diag, f) for f in F])
+    for stack in (F, list(F)):
+        with count_operations() as ops:
+            got = diagonal_matvec(diag, stack)
+        assert got.tobytes() == want.tobytes()
+        assert (ops.adds, ops.muls) == (3 * k * diag.size, 3 * diag.size)
+    assert diagonal_matvec(diag[0], F).tobytes() == want[:, 0].tobytes()
+    with pytest.raises(LengthError):
+        diagonal_matvec(diag, [F[0], F[1, :-1]])
 
 
 def _edge_values(rng, shape):
