@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -182,12 +181,12 @@ class _SignedRows:
         return out
 
 
-@lru_cache(maxsize=None)
 def _sign_plan(bits: tuple, n: int):
     # how a row's run of n entries splits by its signs: the (-1, 2,
     # 2^(s1-s2-1), 2, 2^s2) view at the bits below n, the bits at or above
-    # n, and per sign combination of the low bits its index into the view;
-    # cached per row's bits and run length
+    # n, and per sign combination of the low bits its index into the view.
+    # Not cached: a process-wide cache would keep a first run's plans, bytes
+    # the memory projection does not count, for every later run
     low = [s for s in bits if 1 << s < n]
     dims = [1 << (s - below - 1) for s, below in zip(low, low[1:] + [-1])]
     shape = (-1, *(x for d in dims for x in (2, d)))

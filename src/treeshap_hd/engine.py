@@ -28,9 +28,10 @@ takes the second, with the same bits as :func:`explain`.
 
 The loop multiplies the cached secondary diagonals with the O(k 2^k) zeta
 kernel.  Each run owns one kernel :class:`~treeshap_hd.fastmult.Workspace`,
-so blocks of fewer than 2^12 doubles allocate nothing, run under one
-ufunc-buffer scope for the run, and rebuild their pass views only when the
-block shape changes; a block is consumed before the next kernel call.  A
+so blocks of at most one kernel chunk (2^16 doubles) allocate nothing once
+the workspace has grown to the run's largest, run under one ufunc-buffer
+scope for the run, and rebuild their pass views only when the block shape
+changes; a block is consumed before the next kernel call.  A
 leaf's consumer patterns, in its tree's narrow pattern dtype, are cast to
 ``intp`` once per block, not on every gather.
 :func:`projected_peak_bytes` is the one memory projection that
@@ -48,7 +49,7 @@ import numpy as np
 from .cubes import BANZHAF, INTERACTION, SHAPLEY, _GENERATED_TABLES, _generated_level
 from .cubes import build_diagonal_cache, cache_nbytes
 from .errors import BudgetExceededError, DepthCapError, EmptyBackgroundError, ValidationError
-from .fastmult import _UNBUFFERED, Workspace, diagonal_matvec
+from .fastmult import _CHUNK, Workspace, diagonal_matvec
 from .model import EnsembleModel
 from .patterns import (
     DEFAULT_FEATURE_CAP,
@@ -73,10 +74,11 @@ _INTERPRETER_BYTES = 64 << 10
 # kernel chunk, which the kernel builds from the level's popcount tables
 _STORED_K = 16
 
-# prepare multiplies blocks of up to max(2^12, 2^K) entries, as explain does
-# for 2^12 consumer rows: a depth-8 leaf takes one kernel call per run of
-# matrices, and a block is at most 32 KiB beyond the deepest f
-_PREPARE_SPAN = 1 << 12
+# 2^12 doubles, 32 KiB: the floor of the block span (_block_span), the size
+# consecutive leaves that share a kernel call stay under (_leaves_per_call),
+# and the row count whose span prepare takes, so a depth-8 leaf takes one
+# kernel call per run of matrices
+_SMALL_SPAN = 1 << 12
 
 # one kernel call multiplies the products of up to this many consecutive
 # leaves with the same k, when together they fit in one small block
@@ -146,7 +148,7 @@ def _block_span(n: int, k_max: int) -> int:
     call, small leaves all of theirs, and Python and numpy call costs do not
     swamp their few additions.
     """
-    return max(n, 1 << k_max, min(k_max << k_max, _UNBUFFERED))
+    return max(n, 1 << k_max, min(k_max << k_max, _SMALL_SPAN))
 
 
 def _matrices_per_leaf(k: int, functional: str) -> int:
@@ -220,12 +222,13 @@ def _loop_bytes(request: ExplainRequest, k_max: int, chunk_rows=None, n_rows=Non
     # six 2^k_max vectors: a leaf's distribution, its bincount and the kernel's
     # vector, or the temporaries of building the cache's deepest level; a
     # block of products, at most _block_span entries, with the zeta passes'
-    # copy of up to 1.5 blocks; the kernel's workspace; the leaves waiting
-    # for a shared kernel call, their consumer patterns and their
-    # distributions, which fit in a workspace block with their products; one
-    # gathered row and a leaf's intp consumer patterns; the pattern stacks
-    block = _block_span(n if chunk_rows is None else max(n, _PREPARE_SPAN), k_max)
-    workspace = 8 * min(_UNBUFFERED, block)
+    # copy of up to 1.5 blocks; the kernel's workspace, which holds blocks of
+    # up to one kernel chunk; the leaves waiting for a shared kernel call,
+    # their consumer patterns and their distributions, which fit in a
+    # workspace block with their products; one gathered row and a leaf's
+    # intp consumer patterns; the pattern stacks
+    block = _block_span(n if chunk_rows is None else max(n, _SMALL_SPAN), k_max)
+    workspace = 8 * min(_CHUNK, block)
     waiting = (_BATCH_LEAVES - 1) * n * np.dtype(pattern_dtype(k_max)).itemsize + workspace
     working = (48 << k_max) + 20 * block + workspace + waiting + 16 * n + stack * (n + m)
     output = output_nbytes(n, model.n_features, request.functional)
@@ -299,14 +302,16 @@ def _leaves_per_call(kernel, k, span) -> int:
     """How many consecutive leaves with k features one kernel call multiplies.
 
     Up to ``_BATCH_LEAVES`` whose matrices are one run and, all together, one
-    block of at most ``span`` and fewer than ``_UNBUFFERED`` doubles, so the
-    block stays in the run's workspace; any other leaf takes its calls alone.
+    block of at most ``span`` and fewer than ``_SMALL_SPAN`` doubles; any
+    other leaf takes its calls alone.  The cap keeps a batch from growing
+    the run's workspace past 32 KiB where the span is wider, as for
+    :func:`explain` on more than 4,096 rows.
     """
     runs = kernel.runs(k)
     if len(runs) > 1:
         return 1
     size = len(runs[0][0]) << k
-    return max(1, min(_BATCH_LEAVES, span // size, (_UNBUFFERED - 1) // size))
+    return max(1, min(_BATCH_LEAVES, span // size, (_SMALL_SPAN - 1) // size))
 
 
 def _walk(model, X, B, depth_cap, kernel, span, sink) -> float:
@@ -547,7 +552,7 @@ def prepare(request: ExplainRequest, *, depth_cap: int = DEFAULT_FEATURE_CAP) ->
     model, _, B = _validated(request, consumers=False)
     k_max = _max_unique_features(model, depth_cap)
     kernel = _diagonal_kernel(k_max, request.functional, depth_cap)
-    span = _block_span(_PREPARE_SPAN, k_max)
+    span = _block_span(_SMALL_SPAN, k_max)
     sink = _Products(prepared_nbytes(model, request.functional) // 8)
     no_rows = np.empty((0, model.n_features))
     base_value = _walk(model, no_rows, B, depth_cap, kernel, span, sink)

@@ -21,40 +21,40 @@ complex128 pairs and put the runs axis innermost.  A complex add is two
 double adds, so the values, the order of the adds and their count are the
 same in both layouts.
 
-Blocks of 2^12 doubles or more run their passes with numpy's ufunc buffer
-cut to 64 elements (``np.setbufsize`` inside ``np.errstate``, which restores
-it): otherwise numpy copies both halves of the passes with 16 <= bit < ~2,730
-through its buffer, which makes them up to 3.5x slower.  A block that fits
-in one chunk (2^16 doubles, 512 KiB) has its pass views built once for both
-transforms of a multiply, which matters where per-call costs do.  A block of
-fewer than 2^12 doubles is filled, multiplied and transformed as that one
-piece, in a new array or, where per-call costs dominate, in a run of many
-small blocks, in the buffer of the caller's :class:`Workspace`, on pass
-views kept while the block shape stays the same, with no allocation, and
-under the buffer cut, which the workspace scopes once for the run: a scope
-per block would cost more than the buffer copies it saves, but once set the
-cut takes one (8, 256) multiply's tracemalloc peak from 26,048 to 1,472 B.  The
-vector may be a stack of several, each filling its own group of rows of
-the block, so the leaves that share a k share one call.  Rows longer than one
-chunk no longer fit in L2 with their operands, so their passes go in
-cache-sized order: every pass with bit < 2^16 on one chunk of a row, chunk
-after chunk, then the passes with larger bits one column slice at a time:
-those passes pair the entries at the same offset in every chunk of the
-block, so a slice of offsets, about one chunk of entries, takes them all in
-L2.  A block of shorter rows goes through its passes 2^16 doubles of whole
-rows at a time.  ``diagonal_matvec`` fills each chunk from f, or multiplies
-it once by its chunk of the diagonal (a view of a stored block, or a piece a
-generated level builds), just before that chunk's low passes.  No
-low pass reaches outside its chunk, so every entry still gets the same
-additions of the same operands in the same order, and the bits and op
-counts are those of the plain pass-by-pass order.
+A block of at most one chunk, 2^16 doubles (512 KiB, a quarter of a 2 MiB
+L2), is filled, multiplied and transformed as that one piece, on one set of
+pass views, in the buffer of a :class:`Workspace`: the caller's, whose
+buffer and views a run of many small blocks reuses while the block shape
+stays the same, or a new one for a standalone call.  The vector may be a
+stack of several, each filling its own group of rows of the block, so the
+leaves that share a k share one call.  Every pass runs with numpy's ufunc
+buffer cut to 64 elements: otherwise numpy copies both halves of the passes
+with 16 <= bit < ~2,730 through its buffer, which makes them up to 3.5x
+slower, and the cut takes one (8, 256) multiply's tracemalloc peak from
+26,048 to 1,472 B.  The workspace sets the cut once in a context of its own,
+as a scope per small block would cost more than the copies it saves.  A
+longer block, or a level that builds its diagonal on request, goes through
+its passes chunk by chunk under an ``np.errstate`` scope that restores the
+caller's buffer size.  Rows longer than one chunk no longer fit in L2 with
+their operands, so their passes go in cache-sized order: every pass with
+bit < 2^16 on one chunk of a row, chunk after chunk, then the passes with
+larger bits one column slice at a time: those passes pair the entries at
+the same offset in every chunk of the block, so a slice of offsets, about
+one chunk of entries, takes them all in L2.  A block of shorter rows goes
+through its passes 2^16 doubles of whole rows at a time.
+``diagonal_matvec`` fills each chunk from f, or multiplies it once by its
+chunk of the diagonal (a view of a stored block, or a piece a generated
+level builds), just before that chunk's low passes.  No low pass reaches
+outside its chunk, so every entry still gets the same additions of the same
+operands in the same order, and the bits and op counts are those of the
+plain pass-by-pass order.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -92,11 +92,10 @@ def _require_power_of_two(n: int) -> None:
         raise LengthError(f"length must be a power of two, got {n}")
 
 
-# Blocks of _UNBUFFERED doubles or more run their passes with numpy's ufunc
-# buffer at _BUFSIZE elements, and rows longer than _CHUNK doubles (512 KiB, a
-# quarter of a 2 MiB L2) take their low passes chunk by chunk (see the module
-# docstring).
-_UNBUFFERED = 1 << 12
+# Every pass runs with numpy's ufunc buffer at _BUFSIZE elements; a block of
+# at most _CHUNK doubles (512 KiB, a quarter of a 2 MiB L2) is one piece in a
+# workspace, and a longer one takes its low passes chunk by chunk (see the
+# module docstring).
 _BUFSIZE = 64
 _CHUNK = 1 << 16
 # the passes with bit >= _CHUNK go over column slices at least this many
@@ -174,9 +173,8 @@ def _transforms(v: np.ndarray, prepares) -> None:
     # pass reaches outside its piece.  A prepare that is not None is called
     # as prepare(rows, cols) right before the low passes of piece
     # v2[rows, cols] of the (rows, n) view v2.  A piece's views are built as
-    # it comes, so few view objects are alive at once; a block that is one
-    # piece builds them once for every transform.  Every view is of v itself:
-    # on a copy the additions would be lost silently.
+    # it comes, so few view objects are alive at once.  Every view is of v
+    # itself: on a copy the additions would be lost silently.
     n = v.shape[-1]
     flat = v.reshape(-1)
     v2 = flat.reshape(-1, n)
@@ -188,20 +186,16 @@ def _transforms(v: np.ndarray, prepares) -> None:
         step = _CHUNK // n
         pieces = [(slice(i, i + step), slice(None)) for i in range(0, len(v2), step)]
     low = min(n, _CHUNK)
-    block = _pass_views(flat, 1, low) if len(pieces) == 1 else None
     high = _high_pass_views(flat, n) if n > _CHUNK else ()
     # numpy's iterator would copy the mid passes' operands through its
-    # buffer; errstate restores the setting (a contextvar) on the way out.
-    # On smaller blocks the scope costs more than the copies it saves
-    unbuffered = v.size >= _UNBUFFERED
-    with np.errstate() if unbuffered else nullcontext():
-        if unbuffered:
-            np.setbufsize(_BUFSIZE)
+    # buffer; errstate restores the setting (a contextvar) on the way out
+    with np.errstate():
+        np.setbufsize(_BUFSIZE)
         for prepare in prepares:
             for rows, cols in pieces:
                 if prepare is not None:
                     prepare(rows, cols)
-                _run(*(block or _pass_views(v2[rows, cols].reshape(-1), 1, low)))
+                _run(*_pass_views(v2[rows, cols].reshape(-1), 1, low))
             for views in high:
                 _run(*views)
 
@@ -223,17 +217,17 @@ def subset_zeta(v) -> np.ndarray:
 
 
 class Workspace:
-    """A run's buffer for the kernel's small blocks, their pass views and buffer scope.
+    """A buffer for the kernel's blocks of one chunk or less, their pass views and buffer scope.
 
-    A block of fewer than ``_UNBUFFERED`` doubles is filled, multiplied and
+    A block of at most ``_CHUNK`` doubles is filled, multiplied and
     transformed in the head of ``flat``, which grows to the largest such block
     it is asked for.  The pass views of the last block shape are kept and
     reused while the calls keep that shape; another shape builds its own in
     their place.  The blocks run in ``context``, a copy of the caller's
     context in which numpy's ufunc buffer is cut to ``_BUFSIZE`` elements
-    once for the run: entering it costs one C call, where an ``np.errstate``
-    scope per block would cost more than the buffer copies it saves, and the
-    caller's own numpy calls keep its buffer size.
+    once for the workspace: entering it costs one C call, where an
+    ``np.errstate`` scope per block would cost more than the buffer copies
+    it saves, and the caller's own numpy calls keep its buffer size.
     """
 
     __slots__ = ("flat", "shape", "entry", "context")
@@ -307,11 +301,11 @@ def diagonal_matvec(diag, f, workspace: Workspace | None = None) -> np.ndarray:
     them: an (L, 2^k) array, or a sequence of L vectors, which is not copied
     into one.  A stack's result is (L,) + ``diag.shape``, group i
     bit-identical to ``diagonal_matvec(diag, f[i])``, for L times the adds
-    and muls.  Inputs are never mutated, and the result is a new array,
-    unless a ``workspace`` is given and the result is of fewer than
-    ``_UNBUFFERED`` doubles and ``diag`` an array: then it is the
-    workspace's block, with the same bits, valid until the next call with
-    that workspace.
+    and muls.  Inputs are never mutated.  If ``diag`` is an array and the
+    result holds at most ``_CHUNK`` doubles, the result is the block of
+    ``workspace``, valid until the next call with it, or of a new
+    :class:`Workspace` when none is given; any other result is a new array.
+    Either way the bits are the same.
     """
     generated = hasattr(diag, "tables")  # a generated level is never whole
     diag = diag if generated else np.asarray(diag, dtype=np.float64)
@@ -324,14 +318,11 @@ def diagonal_matvec(diag, f, workspace: Workspace | None = None) -> np.ndarray:
     size = math.prod(shape)
     if _counter is not None:
         _counter.muls += size
-    if size < _UNBUFFERED and not generated:
-        # one piece, in a new array or the workspace's block
-        if workspace is None:
-            g = np.empty(shape)
-            _multiply_small(g, _pass_views(g.reshape(-1), 1, n), vectors, diag)
-        else:
-            g, views = workspace.block(shape)
-            workspace.context.run(_multiply_small, g, views, vectors, diag)
+    if size <= _CHUNK and not generated:
+        # one piece, in a workspace's block
+        workspace = Workspace() if workspace is None else workspace
+        g, views = workspace.block(shape)
+        workspace.context.run(_multiply_small, g, views, vectors, diag)
     else:
         g = np.empty(shape)
         d2 = diag if generated else diag.reshape(-1, n)

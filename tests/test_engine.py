@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -5,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import treeshap_hd
 import treeshap_hd.engine as engine_module
 import treeshap_hd.fastmult as fastmult_module
 import treeshap_hd.oracles as oracles_module
@@ -298,7 +302,7 @@ def _workspace_cases():
 @pytest.mark.parametrize("case", ["spine-10", "depth-8-ensemble"])
 def test_workspace_runs_match_plain_kernel_calls(monkeypatch, case, functional):
     # explain, _store_all and prepare + rows, against the same runs with every
-    # block a new array of the kernel
+    # block in a new workspace or a new array of the kernel
     model, X, B, mode = _workspace_cases()[case]
     request = ExplainRequest(model, X, B, mode, functional)
 
@@ -318,12 +322,9 @@ def test_workspace_runs_match_plain_kernel_calls(monkeypatch, case, functional):
     want = runs()
     for g, w in zip(got, want):
         assert g.values.tobytes() == w.values.tobytes() and g.base_value == w.base_value
-    # a spine's Shapley and Banzhaf leaves take one small block shape per k
-    # (one leaf per k, and blocks of 2^12 doubles but the last)
-    if case == "depth-8-ensemble" or functional == INTERACTION:
-        # one row length takes blocks of two shapes under _UNBUFFERED doubles
-        small = [s for s in shapes if np.prod(s) < fastmult_module._UNBUFFERED]
-        assert len({s[-1] for s in small}) < len(small)
+    # one row length takes blocks of two shapes in the workspace
+    small = [s for s in shapes if np.prod(s) <= fastmult_module._CHUNK]
+    assert len({s[-1] for s in small}) < len(small)
 
 
 def _law_cases():
@@ -500,6 +501,39 @@ def test_projected_peak_bounds_measured_peak(functional, n_trees, threads, mode)
     request = request_for(model, 0, mode, functional, n=400, m=50)
     peak = _traced_peak(lambda: explain(request, threads=threads))
     projected = projected_peak_bytes(request)
+    assert peak <= projected <= 4 * peak, (peak, projected)
+
+
+# the measured-peak case above as a process's first explain, the call every
+# CLI run makes: prints its tracemalloc peak and its projected peak
+_FIRST_CALL = """
+import sys, tracemalloc
+import numpy as np
+from treeshap_hd.engine import ExplainRequest, explain, projected_peak_bytes
+from treeshap_hd.synthetic import random_dataset, random_model
+
+functional, mode, n_trees = sys.argv[1], sys.argv[2], int(sys.argv[3])
+model = random_model(0, max_depth=6, n_features=16, n_trees=n_trees)
+rng = np.random.default_rng(0)
+X = random_dataset(rng, 400, 16)
+B = random_dataset(rng, 50, 16) if mode == "background" else None
+request = ExplainRequest(model, X, B, mode, functional)
+tracemalloc.start()
+explain(request)
+print(tracemalloc.get_traced_memory()[1], projected_peak_bytes(request))
+"""
+
+
+@pytest.mark.parametrize("mode", (BACKGROUND, PATH_DEPENDENT))
+@pytest.mark.parametrize("functional", (SHAPLEY, INTERACTION))
+def test_projected_peak_bounds_a_first_call(functional, mode):
+    # in a fresh interpreter, so the bound holds whatever ran before in this
+    # process: a first call pays the one-time allocations later calls skip
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(treeshap_hd.__file__)))
+    argv = [sys.executable, "-c", _FIRST_CALL, functional, mode, "1"]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    peak, projected = map(int, run.stdout.split())
     assert peak <= projected <= 4 * peak, (peak, projected)
 
 

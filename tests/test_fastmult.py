@@ -21,7 +21,7 @@ from treeshap_hd.cubes import (
 from treeshap_hd.errors import LayoutError, LengthError, SizeError, StructureError
 from treeshap_hd.fastmult import (
     _BUFSIZE,
-    _UNBUFFERED,
+    _CHUNK,
     _transforms,
     _zeta_inplace,
     Workspace,
@@ -216,10 +216,18 @@ def test_block_matvec_is_stacked_single_calls(k):
             diagonal_matvec(np.ones((r, 2 * n)), f)
 
 
+def _reference_products(diag, f, stacked):
+    # diagonal_matvec_reference on each vector of a stack, or on the one vector
+    want = np.stack([diagonal_matvec_reference(diag, v) for v in (f if stacked else [f])])
+    return want if stacked else want[0]
+
+
 def test_workspace_blocks_match_new_arrays():
-    # small blocks are multiplied in the workspace with the bits and op counts
-    # of a new array, under the workspace's cut ufunc buffer; the buffer grows
-    # to the largest small block, and the views of the last shape stay alive
+    # blocks of at most _CHUNK doubles are multiplied in the workspace with
+    # the bits and op counts of the reference passes, under the workspace's
+    # cut ufunc buffer; the buffer grows to the largest such block, never past
+    # _CHUNK doubles, and the views of the last shape stay alive.  Longer
+    # blocks are new arrays and leave the workspace as it was
     rng = np.random.default_rng(17)
     workspace = Workspace()
     # (leaves in a stack, or None for one vector; the diagonal's shape)
@@ -227,26 +235,52 @@ def test_workspace_blocks_match_new_arrays():
         (None, (1, 256)), (None, (3, 256)), (None, (1, 256)), (2, (1, 256)), (None, (2, 256)),
         (None, (1, 512)), (None, (512,)), (3, (3, 256)), (None, (1, 1 << 12)), (2, (4, 256)),
         (None, (4, 1024)), (3, (2, 8)), (3, (2, 8)),
+        (None, (3, 1 << 12)), (2, (5, 1 << 11)), (3, (1, 1 << 13)), (None, (1 << 16,)),
+        (None, (3, 1 << 15)), (4, (2, 1 << 13)), (2, (1, 1 << 16)), (None, (1 << 17,)), (2, (3, 1 << 12)),
     ]
     largest = 0
     for leaves, shape in cases:
         diag = rng.normal(size=shape)
         f = rng.normal(size=shape[-1] if leaves is None else (leaves, shape[-1]))
         before = diag.copy(), f.copy()
-        with count_operations() as plain:
-            want = diagonal_matvec(diag, f)
+        want = _reference_products(diag, f, leaves)
         with count_operations() as ops:
             got = diagonal_matvec(diag, list(f) if leaves else f, workspace)
         assert got.shape == want.shape == ((leaves,) if leaves else ()) + shape
         assert got.tobytes() == want.tobytes()
-        assert (ops.adds, ops.muls) == (plain.adds, plain.muls)
+        assert (ops.adds, ops.muls) == ((shape[-1].bit_length() - 1) * got.size, got.size)
         assert np.array_equal(diag, before[0]) and np.array_equal(f, before[1])
-        small = got.size < _UNBUFFERED
+        small = got.size <= _CHUNK
         assert np.shares_memory(got, workspace.flat) == small
         if small:
             largest = max(largest, got.size)
-            assert workspace.flat.size == largest and workspace.shape == (leaves or 1,) + shape
+            assert workspace.shape == (leaves or 1,) + shape
+        assert workspace.flat.size == largest <= _CHUNK
+    assert largest == _CHUNK
     assert workspace.context.run(np.getbufsize) == _BUFSIZE != np.getbufsize()
+
+
+@pytest.mark.parametrize("shape", [(1, 1 << 11), (1, 1 << 12), (2, 1 << 15), (4, 1 << 15)])
+def test_standalone_calls_do_not_alias(shape):
+    # without a workspace, a block of one chunk or less runs in a new
+    # workspace and a longer one in a new array: no result shares memory
+    # with an earlier one, which keeps its values, and each has the bits and
+    # op counts of the reference passes, for one vector and for a stack
+    rng = np.random.default_rng(19)
+    k = shape[-1].bit_length() - 1
+    diag = rng.normal(size=shape)
+    earlier = []
+    for leaves in (None, None, 2, 2):
+        f = rng.normal(size=shape[-1] if leaves is None else (leaves, shape[-1]))
+        with count_operations() as ops:
+            got = diagonal_matvec(diag, f)
+        want = _reference_products(diag, f, leaves)
+        assert got.tobytes() == want.tobytes()
+        assert (ops.adds, ops.muls) == (k * got.size, got.size)
+        assert not any(np.shares_memory(got, e) for e, _ in earlier)
+        earlier.append((got, want))
+    for got, want in earlier:
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("k", (1, 3, 8, 13))
@@ -332,9 +366,9 @@ def test_kernel_leaves_the_ufunc_buffer_size_alone():
             assert np.getbufsize() == 4096
         _transforms(np.zeros(1 << 17), [lambda i, cols: seen.append(np.getbufsize())])
         assert np.getbufsize() == 4096 and seen == [_BUFSIZE, _BUFSIZE]
-        # below _UNBUFFERED doubles the passes keep the caller's buffer size
-        _transforms(np.zeros((2, _UNBUFFERED // 4)), [lambda i, cols: seen.append(np.getbufsize())])
-        assert seen[2:] == [4096]
+        # a block of one chunk or less, as subset_zeta passes it, is cut too
+        _transforms(np.zeros((2, 1 << 10)), [lambda i, cols: seen.append(np.getbufsize())])
+        assert np.getbufsize() == 4096 and seen[2:] == [_BUFSIZE]
         with pytest.raises(LayoutError):
             _zeta_inplace(np.zeros((1 << 13, 2)).T)
         assert np.getbufsize() == 4096
