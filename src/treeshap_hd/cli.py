@@ -28,9 +28,7 @@ from .engine import (
     PATH_DEPENDENT,
     ExplainRequest,
     explain,
-    output_nbytes,
     prepare,
-    prepared_nbytes,
     projected_peak_bytes,
 )
 from .errors import (
@@ -262,17 +260,6 @@ def _chunk_rows(n_features) -> int:
     return max(1, CHUNK_VALUES // max(n_features, 1))
 
 
-def _streams(model, functional, n) -> bool:
-    """Whether to explain n consumer rows chunk by chunk (see :func:`cmd_explain`)."""
-    chunk = _chunk_rows(model.n_features)
-
-    def rows_and_output(rows):
-        return 8 * rows * model.n_features + output_nbytes(rows, model.n_features, functional)
-
-    state = prepared_nbytes(model, functional)
-    return n > chunk and state + rows_and_output(chunk) < rows_and_output(n)
-
-
 def _projected_bytes(request, chunk_rows=None, n_rows=None) -> int:
     """The budget figure of an explain run: the engine's projection
     (:func:`projected_peak_bytes`, for chunks of ``chunk_rows`` rows when
@@ -286,13 +273,20 @@ def _projected_bytes(request, chunk_rows=None, n_rows=None) -> int:
     return projected_peak_bytes(request, chunk_rows=chunk_rows, n_rows=n_rows) + parsed
 
 
-def _budget_streams(budget, request, n) -> bool:
-    """Whether ``budget`` refuses the figure of n consumer rows in one pass
-    but admits the streamed one (see :func:`cmd_explain`)."""
+def _streams(request, n) -> bool:
+    """Whether :func:`cmd_explain` explains n consumer rows chunk by chunk:
+    when they are more than one chunk and the streamed :func:`_projected_bytes`
+    figure is smaller than one pass's.  Logs the shape and the figures compared."""
     chunk = _chunk_rows(request.model.n_features)
-    if budget is None or n <= chunk:
+    if n <= chunk:
+        log.info("explain: one pass: %d rows counted, one chunk holds %d", n, chunk)
         return False
-    return _projected_bytes(request, n_rows=n) > budget >= _projected_bytes(request, chunk)
+    streamed, one_pass = _projected_bytes(request, chunk), _projected_bytes(request, n_rows=n)
+    log.info(
+        "explain: %s: %d rows counted, %d B streamed in %d-row chunks against %d B in one pass",
+        "streamed" if streamed < one_pass else "one pass", n, streamed, chunk, one_pass,
+    )
+    return streamed < one_pass
 
 
 def _check_budget(budget, request, chunk_rows=None, n_rows=None) -> None:
@@ -306,16 +300,15 @@ def cmd_explain(config: RunConfig) -> int:
     """Explain every row of the consumer CSV and write one CSV row per consumer.
 
     One loop parses, explains and writes the rows.  The run streams when the
-    rows and output of one pass would cost more bytes than :func:`prepare`'s
-    products and one chunk of rows and output, or when ``--memory-budget``
-    refuses the figure of one pass over the file's rows (as
-    :func:`_data_rows` counts them) but admits the streamed one: it prepares
-    every leaf once, then takes ``CHUNK_VALUES`` values at a time through
+    file's rows (as :func:`_data_rows` counts them) are more than one chunk
+    and the streamed :func:`_projected_bytes` figure is smaller than that of
+    one pass over them (:func:`_streams`): it prepares every leaf once, then
+    takes ``CHUNK_VALUES`` values at a time through
     :meth:`PreparedExplainer.rows`.  Otherwise every row is one chunk for one
     :func:`explain` call.  Both write the same bytes.  ``--memory-budget`` is
-    checked against :func:`_projected_bytes` before :func:`prepare`, or once
-    the whole file's rows are parsed, and also before that when
-    :func:`_data_rows` counts them exactly.
+    checked against the chosen shape's figure, the smaller of the two: before
+    :func:`prepare`, or once the whole file's rows are parsed, and also
+    before that when :func:`_data_rows` counts them exactly.
     """
     model = _load_model(config)
     if config.consumer_path is None:
@@ -339,9 +332,7 @@ def cmd_explain(config: RunConfig) -> int:
             if model.feature_names is not None and bg_header != model.feature_names:
                 raise ValidationError("background CSV header does not match model feature names")
         request = ExplainRequest(model, None, background, config.mode, config.functional)
-        streamed = _streams(model, config.functional, n) or _budget_streams(
-            config.memory_budget_bytes, request, n
-        )
+        streamed = _streams(request, n)
         chunk = _chunk_rows(model.n_features) if streamed else None
         if streamed:
             _check_budget(config.memory_budget_bytes, request, chunk)

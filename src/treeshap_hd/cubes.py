@@ -153,27 +153,33 @@ def build_diagonal_cache(
 class _SignedRows:
     """(r, n) diagonals: entry a of row i is ``tables[signs]`` at a (a table is
     n doubles or a scalar), ``signs`` the bits of a at the descending
-    positions ``bits[i]``.  ``level[rows]`` takes rows and shares the tables;
-    ``level[rows, cols]`` builds those entries as a new C-order array."""
+    positions ``bits[i]``.  ``level[rows]`` takes rows and shares the tables
+    and the sign plans; ``level[rows, cols]`` builds those entries as a new
+    C-order array."""
 
-    def __init__(self, bits, tables: dict, n: int):
+    def __init__(self, bits, tables: dict, n: int, plans=None):
         self.bits, self.tables, self.shape = bits, tables, (len(bits), n)
+        # (row bits, piece width) -> _sign_plan, kept while the level is
+        self.plans = {} if plans is None else plans
 
     def __len__(self) -> int:
         return len(self.bits)
 
     def __getitem__(self, key):
         if not isinstance(key, tuple):
-            return _SignedRows(self.bits[key], self.tables, self.shape[1])
+            return _SignedRows(self.bits[key], self.tables, self.shape[1], self.plans)
         # each row's run from entry start, n long: n divides start, so each
         # bit at or above n has one value all through the run, and every
         # sign case of the bits below n copies its table's part once
         rows, cols = key
         start, stop, _ = cols.indices(self.shape[1])
-        bits = self.bits[rows]
-        out = np.empty((len(bits), stop - start))
+        bits, width = self.bits[rows], stop - start
+        out = np.empty((len(bits), width))
         for row, row_bits in zip(out, bits):
-            shape, high_bits, cases = _sign_plan(row_bits, stop - start)
+            plan = self.plans.get((row_bits, width)) or _sign_plan(row_bits, width)
+            if width < self.shape[1]:  # kept for the row's other pieces; a whole row is built once
+                self.plans[row_bits, width] = plan
+            shape, high_bits, cases = plan
             high, view = tuple((start >> s) & 1 for s in high_bits), row.reshape(shape)
             for signs, index in cases:
                 table = self.tables[high + signs]
@@ -185,8 +191,9 @@ def _sign_plan(bits: tuple, n: int):
     # how a row's run of n entries splits by its signs: the (-1, 2,
     # 2^(s1-s2-1), 2, 2^s2) view at the bits below n, the bits at or above
     # n, and per sign combination of the low bits its index into the view.
-    # Not cached: a process-wide cache would keep a first run's plans, bytes
-    # the memory projection does not count, for every later run
+    # Kept with the level, not process-wide: a process-wide cache would keep
+    # a first run's plans, bytes the memory projection does not count, for
+    # every later run
     low = [s for s in bits if 1 << s < n]
     dims = [1 << (s - below - 1) for s, below in zip(low, low[1:] + [-1])]
     shape = (-1, *(x for d in dims for x in (2, d)))

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -550,9 +551,10 @@ def test_non_utf8_lightgbm_dump_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and str(model) in err and "not a UTF-8" in err
 
 
-def _stream_setup(tmp_path, mode, n_rows=121):
-    # a small model whose prepared products cost less than 121 rows and their
-    # output, so with 10-row chunks the run streams, in 13 chunks
+def _stream_setup(tmp_path, mode, n_rows=1201):
+    # a small model whose streamed budget figure in 100-row chunks is smaller
+    # than one pass's over 1,201 rows (from 1,030 rows for Shapley and
+    # Banzhaf values, 562 for interactions), so the run streams, in 13 chunks
     model = random_model(2, max_depth=3, n_features=4, n_trees=3, base_score=0.3)
     save_canonical(model, tmp_path / "model.json")
     rng = np.random.default_rng(5)
@@ -571,22 +573,26 @@ def _stream_setup(tmp_path, mode, n_rows=121):
 
 
 @pytest.fixture
-def ten_row_chunks(monkeypatch):
-    monkeypatch.setattr(cli_module, "CHUNK_VALUES", 40)  # 10 rows of 4 features
+def hundred_row_chunks(monkeypatch):
+    monkeypatch.setattr(cli_module, "CHUNK_VALUES", 400)  # 100 rows of 4 features
 
 
-@pytest.mark.parametrize("mode", ["background", "path-dependent"])
-@pytest.mark.parametrize("functional", ["shapley", "banzhaf", "interaction"])
-def test_streamed_explain_matches_reference_writer(tmp_path, monkeypatch, ten_row_chunks, functional, mode):
-    model, X, B, argv = _stream_setup(tmp_path, mode)
-    result = explain(ExplainRequest(model, X, B, mode, functional))
-    want = tmp_path / "want.csv"
-    write_values_csv_reference(want, result.values, result.base_value, functional == INTERACTION)
-
+def _must_stream(monkeypatch):
+    # a run that takes one pass calls explain; a streamed one never does
     def one_pass(*args, **kwargs):
         raise AssertionError("the run should stream")
 
     monkeypatch.setattr(cli_module, "explain", one_pass)
+
+
+@pytest.mark.parametrize("mode", ["background", "path-dependent"])
+@pytest.mark.parametrize("functional", ["shapley", "banzhaf", "interaction"])
+def test_streamed_explain_matches_reference_writer(tmp_path, monkeypatch, hundred_row_chunks, functional, mode):
+    model, X, B, argv = _stream_setup(tmp_path, mode)
+    result = explain(ExplainRequest(model, X, B, mode, functional))
+    want = tmp_path / "want.csv"
+    write_values_csv_reference(want, result.values, result.base_value, functional == INTERACTION)
+    _must_stream(monkeypatch)
     assert main(argv + ["--values", functional]) == 0
     assert (tmp_path / "out.csv").read_bytes() == want.read_bytes()
 
@@ -605,15 +611,16 @@ def test_output_symlink_is_written_through(stump_setup, tmp_path):
     assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
-def test_streamed_threads_must_be_positive(tmp_path, ten_row_chunks):
+def test_streamed_threads_must_be_positive(tmp_path, hundred_row_chunks):
     _model, _X, _B, argv = _stream_setup(tmp_path, "background")
     assert main(argv + ["--threads", "0"]) == 2
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_deep_model_explains_in_one_pass(tmp_path, monkeypatch, ten_row_chunks):
-    # a depth-10 spine's products (about 250 KB: k rows of 2^k doubles per
-    # leaf) cost more than 121 rows and their output: no streaming
+def test_deep_model_explains_in_one_pass(tmp_path, monkeypatch, hundred_row_chunks):
+    # a depth-10 spine's products (about 150 KB: k rows of 2^k doubles per
+    # leaf) make the streamed budget figure of 121 rows in 40-row chunks
+    # larger than one pass's: no streaming
     deep = deep_path_model(10, 0)
     save_canonical(deep, tmp_path / "deep.json")
     X = random_dataset(np.random.default_rng(2), 121, 10)
@@ -634,14 +641,14 @@ def test_deep_model_explains_in_one_pass(tmp_path, monkeypatch, ten_row_chunks):
 
 @pytest.mark.parametrize(
     "bad_row, words",
-    [(["0.5", "0.5", "abc", "0.5"], "row 120, column f2: 'abc' is not a number"),
-     (["0.5", "0.5", "0.5"], "row 120 has 3 cells, header has 4")],
+    [(["0.5", "0.5", "abc", "0.5"], "row 1200, column f2: 'abc' is not a number"),
+     (["0.5", "0.5", "0.5"], "row 1200 has 3 cells, header has 4")],
     ids=["not-a-number", "ragged"],
 )
 def test_streamed_bad_cell_in_last_chunk_exits_2(tmp_path, monkeypatch, capsys, bad_row, words):
     _model, X, _B, argv = _stream_setup(tmp_path, "background")
     rows = X.tolist()
-    rows[120] = bad_row  # the last chunk's one row, after twelve good chunks
+    rows[1200] = bad_row  # the last chunk's one row, after twelve good chunks
     write_csv(tmp_path / "d.csv", [f"f{i}" for i in range(4)], rows)
     out = tmp_path / "out.csv"
     # one pass, as today: the diagnostic names the cell's row in the file
@@ -651,8 +658,18 @@ def test_streamed_bad_cell_in_last_chunk_exits_2(tmp_path, monkeypatch, capsys, 
 
     out.write_text("earlier output\n")
     before = sorted(os.listdir(tmp_path))
-    monkeypatch.setattr(cli_module, "CHUNK_VALUES", 40)
+    monkeypatch.setattr(cli_module, "CHUNK_VALUES", 400)
+    _must_stream(monkeypatch)
+    prepares = []
+
+    def counted(*args, **kwargs):
+        # a one-pass run fails its parse before it would call explain
+        prepares.append(args)
+        return engine_module.prepare(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "prepare", counted)
     assert main(argv) == 2
+    assert len(prepares) == 1
     assert capsys.readouterr().err == one_pass
     # the partial output went to a temporary file, now removed
     assert out.read_text() == "earlier output\n"
@@ -677,7 +694,8 @@ def test_streamed_budget_bounds_measured_peak(tmp_path, monkeypatch, functional)
     ]
     request = ExplainRequest(model, None, np.zeros((100, 10)), "background", functional)
     projected = cli_module._projected_bytes(request, cli_module._chunk_rows(10))
-    assert cli_module._streams(model, functional, 3000)
+    assert cli_module._streams(request, 3000)
+    _must_stream(monkeypatch)
     # a first run fills the caches the argument parser and the CSV reader
     # keep for the process, which the projection does not count either
     assert main(argv) == 0
@@ -718,7 +736,7 @@ def test_whole_file_budget_counts_parsed_rows(tmp_path, monkeypatch):
         "--mode", "path-dependent", "--output", str(tmp_path / "out.csv"),
     ]
     request = ExplainRequest(model, X, None, "path-dependent", SHAPLEY)
-    assert not cli_module._streams(model, SHAPLEY, 5000)
+    assert not cli_module._streams(request, 5000)
     assert main(argv + ["--memory-budget", str(projected_peak_bytes(request) + 1)]) == 3
     assert sorted(os.listdir(tmp_path)) == ["d.csv"]
 
@@ -734,8 +752,9 @@ def test_whole_file_budget_counts_parsed_rows(tmp_path, monkeypatch):
 
 
 def test_budget_that_refuses_one_pass_streams(tmp_path, monkeypatch):
-    # 5,460 path-dependent rows take one pass unbudgeted; a budget under that
-    # pass's figure but over the streamed one streams them, to the same bytes
+    # 5,460 path-dependent rows of 60 features stream, as their streamed
+    # budget figure is the smaller; a budget under the one-pass figure but
+    # over the streamed one admits them, and both runs write the reference bytes
     model = random_model(2, max_depth=6, n_features=60, n_trees=100)
     X = random_dataset(np.random.default_rng(0), 5460, 60)
     write_csv(tmp_path / "d.csv", [f"f{i}" for i in range(60)], X.tolist())
@@ -746,26 +765,23 @@ def test_budget_that_refuses_one_pass_streams(tmp_path, monkeypatch):
     ]
     budget = 7_000_000
     request = ExplainRequest(model, X, None, "path-dependent", SHAPLEY)
-    streamed_figure = cli_module._projected_bytes(request, cli_module._chunk_rows(60))
-    assert not cli_module._streams(model, SHAPLEY, 5460)
-    assert streamed_figure <= budget < cli_module._projected_bytes(request)
+    assert cli_module._streams(request, 5460)
+    assert cli_module._projected_bytes(request, cli_module._chunk_rows(60)) <= budget
+    assert budget < cli_module._projected_bytes(request)
+    result = explain(request)
+    write_values_csv_reference(tmp_path / "want.csv", result.values, result.base_value, False)
+    want = (tmp_path / "want.csv").read_bytes()
+    _must_stream(monkeypatch)
     assert main(argv) == 0
-    want = (tmp_path / "out.csv").read_bytes()
+    assert (tmp_path / "out.csv").read_bytes() == want
 
-    prepares = []
-
-    def streamed(*args, **kwargs):
-        prepares.append(args)
-        return engine_module.prepare(*args, **kwargs)
-
-    monkeypatch.setattr(cli_module, "prepare", streamed)
     tracemalloc.start()
     try:
         assert main(argv + ["--memory-budget", str(budget)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(prepares) == 1 and peak <= budget, peak
+    assert peak <= budget, peak
     assert (tmp_path / "out.csv").read_bytes() == want
 
 
@@ -792,6 +808,47 @@ def test_budget_refusing_both_figures_exits_before_parsing(tmp_path, monkeypatch
     ]
     assert main(argv) == 3
     assert sorted(os.listdir(tmp_path)) == ["d.csv"]
+
+
+def test_budget_of_the_smaller_figure_runs(tmp_path, monkeypatch, caplog):
+    # 680 background rows of 100 features: one pass's budget figure is the
+    # smaller, so a budget of exactly that figure runs, in one pass, and one
+    # byte less is refused before any consumer row is parsed
+    model = random_model(2, max_depth=3, n_features=100, n_trees=3)
+    save_canonical(model, tmp_path / "model.json")
+    rng = np.random.default_rng(7)
+    X = random_dataset(rng, 680, 100)
+    B = random_dataset(rng, 9, 100)
+    header = [f"f{i}" for i in range(100)]
+    data = tmp_path / "d.csv"
+    write_csv(data, header, X.tolist())
+    write_csv(tmp_path / "b.csv", header, B.tolist())
+    argv = [
+        "explain", "--model", str(tmp_path / "model.json"), "--data", str(data),
+        "--background", str(tmp_path / "b.csv"), "--output", str(tmp_path / "out.csv"),
+    ]
+    request = ExplainRequest(model, X, B, "background", SHAPLEY)
+    one_pass = cli_module._projected_bytes(request)
+    streamed = cli_module._projected_bytes(request, cli_module._chunk_rows(100))
+    assert 680 > cli_module._chunk_rows(100) and one_pass < streamed
+    result = explain(request)
+    write_values_csv_reference(tmp_path / "want.csv", result.values, result.base_value, False)
+    caplog.set_level(logging.INFO, logger="treeshap_hd")
+    assert main(argv + ["--memory-budget", str(one_pass)]) == 0
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert f"explain: one pass: 680 rows counted, {streamed} B streamed" in caplog.text
+    assert f"against {one_pass} B in one pass" in caplog.text
+
+    (tmp_path / "out.csv").unlink()
+    read_rows = cli_module._read_rows
+
+    def background_only(reader, header, path, *args):
+        assert path != str(data), "rows parsed before the budget refused them"
+        return read_rows(reader, header, path, *args)
+
+    monkeypatch.setattr(cli_module, "_read_rows", background_only)
+    assert main(argv + ["--memory-budget", str(one_pass - 1)]) == 3
+    assert sorted(os.listdir(tmp_path)) == ["b.csv", "d.csv", "model.json", "want.csv"]
 
 
 def test_budget_counts_quoted_rows_once_parsed(tmp_path, monkeypatch):
@@ -822,11 +879,13 @@ def test_budget_counts_quoted_rows_once_parsed(tmp_path, monkeypatch):
     assert main(argv + ["--memory-budget", "64"]) == 2
 
 
-def test_piped_rows_take_the_whole_file_loop(tmp_path, monkeypatch, ten_row_chunks):
+def test_piped_rows_take_the_whole_file_loop(tmp_path, monkeypatch, hundred_row_chunks):
     # a pipe cannot be counted before it is read: its rows are one chunk,
     # and the budget figure counts them once parsed
     model, X, B, argv = _stream_setup(tmp_path, "background")
-    assert main(argv) == 0  # 121 rows in a regular file: streamed
+    with monkeypatch.context() as streaming:
+        _must_stream(streaming)
+        assert main(argv) == 0  # 1,201 rows in a regular file: streamed
     want = (tmp_path / "out.csv").read_bytes()
     (tmp_path / "out.csv").unlink()
     pipe = tmp_path / "pipe.csv"

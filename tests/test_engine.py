@@ -620,8 +620,10 @@ def _deep_spine_cases():
             yield pytest.param(k, functional, BACKGROUND, id=f"{k}-{functional}-{BACKGROUND}")
     for functional in (BANZHAF, SHAPLEY):
         yield pytest.param(20, functional, PATH_DEPENDENT, id=f"20-{functional}")
+    yield pytest.param(20, SHAPLEY, BACKGROUND, id=f"20-{SHAPLEY}-{BACKGROUND}")
     # five passes with bit >= 2^16 per transform
-    yield pytest.param(21, SHAPLEY, PATH_DEPENDENT, id=f"21-{SHAPLEY}")
+    for functional in (BANZHAF, SHAPLEY):
+        yield pytest.param(21, functional, PATH_DEPENDENT, id=f"21-{functional}")
 
 
 @pytest.mark.parametrize("k, functional, mode", _deep_spine_cases())
