@@ -159,7 +159,7 @@ class _SignedRows:
 
     def __init__(self, bits, tables: dict, n: int, plans=None):
         self.bits, self.tables, self.shape = bits, tables, (len(bits), n)
-        # (row bits, piece width) -> _sign_plan, kept while the level is
+        # (row bits, piece width) -> _sign_plan, dropped with the level
         self.plans = {} if plans is None else plans
 
     def __len__(self) -> int:
